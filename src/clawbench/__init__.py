@@ -4,7 +4,7 @@ with classical claw finding and desk-scale Grover / subset-walk simulators."""
 from .cipher import (FeistelSpec, feistel_decrypt, feistel_encrypt,
                      partial_decrypt, simeck_f, simeck_key_schedule)
 from .claw import (CapacityError, ClawProblem, concat_multi,
-                   find_claw_sorted, find_claws_exhaustive, find_claws_sorted)
+                   find_claws_exhaustive, find_claws_sorted)
 from .attack import (AttackError, ChosenPairSet, QueryStats, RecoveredKeys,
                      build_claw_problem, diff_f, diff_g, k1k3_constant,
                      k3_check_paper, k4_check, k5_check, make_chosen_plaintext,

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import grover
-from .cipher import feistel_encrypt, simeck_f
+from .cipher import feistel_encrypt, partial_decrypt, simeck_f
 from .claw import ClawProblem, find_claws_exhaustive, find_claws_sorted
 from .walk import UniqueClawRequired, claw_walk_sample
 from .words import check_word, mask, word_to_hex
@@ -103,27 +103,37 @@ def family_member(k1_star, k2_prime, c_star, constant_c, spec):
 
 
 # ---------------------------------------------------------------------------
-# difference functions and per-subkey predicates (decryption direction
-# states are named after the round value they reconstruct)
+# difference functions and per-subkey predicates.  Each check peels the
+# ciphertexts back from round 6 with the known later keys; the key of the
+# last round peeled is unknown and cancels in the two pairs' difference,
+# so that round runs with key 0.
 
 
-def _r6(ct, k6, spec):
-    l7, r7 = ct
-    return l7 ^ spec.round_f(6, r7) ^ k6
+def _peeled_right(ct, known, spec):
+    """Right half of the round-r input state, r = 7 - len(known), from
+    decrypting rounds 6..r with known = (K_r, ..., K_6)."""
+    r = 7 - len(known)
+    return partial_decrypt(ct, (0,) * (r - 1) + tuple(known), spec, 6, r)[1]
 
 
-def _r5(ct, k5, k6, spec):
-    l7, r7 = ct
-    return r7 ^ spec.round_f(5, _r6(ct, k6, spec)) ^ k5
+def _peel_diff(known, pair_set, pair_idx, spec):
+    """Round-r right-half difference of pair 1 and pair pair_idx, peeling
+    with known = (K_(r+1), ..., K_6) and K_r = 0."""
+    if pair_idx not in (2, 3):
+        raise ValueError("pair_idx must be 2 or 3")
+    keys = (0, *known)
+    return (_peeled_right(pair_set.pairs[0][1], keys, spec)
+            ^ _peeled_right(pair_set.pairs[pair_idx - 1][1], keys, spec))
 
 
-def _r4(ct, k4, k5, k6, spec):
-    return _r6(ct, k6, spec) ^ spec.round_f(4, _r5(ct, k5, k6, spec)) ^ k4
+def _peel_match(known, want, pair_set, spec):
+    """Element-wise: pairs 2 and 3 peel to the differences want[0], want[1]."""
+    return ((_peel_diff(known, pair_set, 2, spec) == want[0])
+            & (_peel_diff(known, pair_set, 3, spec) == want[1]))
 
 
-def _r3(ct, k3, k4, k5, k6, spec):
-    return (_r5(ct, k5, k6, spec)
-            ^ spec.round_f(3, _r4(ct, k4, k5, k6, spec)) ^ k3)
+def _plaintext_left_diff(pair_set, pair_idx):
+    return pair_set.pairs[0][0][0] ^ pair_set.pairs[pair_idx - 1][0][0]
 
 
 def diff_f(x, pair_set, pair_idx, spec):
@@ -139,13 +149,7 @@ def diff_f(x, pair_set, pair_idx, spec):
 def diff_g(x, pair_set, pair_idx, spec):
     """Decryption-direction matching difference; equals the round-4 left
     difference when x is the true K6."""
-    if pair_idx not in (2, 3):
-        raise ValueError("pair_idx must be 2 or 3")
-    (l7a, r7a) = pair_set.pairs[0][1]
-    (l7b, r7b) = pair_set.pairs[pair_idx - 1][1]
-    return (r7a ^ r7b
-            ^ spec.round_f(5, l7a ^ spec.round_f(6, r7a) ^ x)
-            ^ spec.round_f(5, l7b ^ spec.round_f(6, r7b) ^ x))
+    return _peel_diff((x,), pair_set, pair_idx, spec)
 
 
 def build_claw_problem(pair_set, spec):
@@ -156,38 +160,20 @@ def build_claw_problem(pair_set, spec):
     g_family = tuple(
         (lambda x, p=p: diff_g(x, pair_set, p, spec)) for p in (2, 3))
     return ClawProblem(domain_bits=w, range_bits=w,
-                       f_family=f_family, g_family=g_family,
-                       expected_unique=True)
-
-
-def _k5_delta(k5, k6, pair_set, pair_idx, spec):
-    pta, cta = pair_set.pairs[0]
-    ptb, ctb = pair_set.pairs[pair_idx - 1]
-    delta = (cta[0] ^ ctb[0]
-             ^ spec.round_f(6, cta[1]) ^ spec.round_f(6, ctb[1])
-             ^ spec.round_f(4, _r5(cta, k5, k6, spec))
-             ^ spec.round_f(4, _r5(ctb, k5, k6, spec)))
-    return delta == (pta[0] ^ ptb[0])
+                       f_family=f_family, g_family=g_family)
 
 
 def k5_check(k5, k6, pair_set, pair_idx, spec):
     """Round-3 matching: decryption-side left difference (guessing k5, k6)
     must equal the plaintext left difference."""
-    return bool(np.all(_k5_delta(k5, k6, pair_set, pair_idx, spec)))
-
-
-def _k4_delta(k4, k5, k6, pair_set, pair_idx, spec):
-    _pta, cta = pair_set.pairs[0]
-    _ptb, ctb = pair_set.pairs[pair_idx - 1]
-    delta = (_r5(cta, k5, k6, spec) ^ _r5(ctb, k5, k6, spec)
-             ^ spec.round_f(3, _r4(cta, k4, k5, k6, spec))
-             ^ spec.round_f(3, _r4(ctb, k4, k5, k6, spec)))
-    return delta == 0
+    return bool(np.all(_peel_diff((k5, k6), pair_set, pair_idx, spec)
+                       == _plaintext_left_diff(pair_set, pair_idx)))
 
 
 def k4_check(k4, k5, k6, pair_set, pair_idx, spec):
     """Round-2 matching: the rule pins the round-2 left difference to zero."""
-    return bool(np.all(_k4_delta(k4, k5, k6, pair_set, pair_idx, spec)))
+    return bool(np.all(_peel_diff((k4, k5, k6), pair_set, pair_idx, spec)
+                       == 0))
 
 
 def k3_check_paper(k3, k4, k5, k6, pair_set, pair_idx, spec):
@@ -198,12 +184,8 @@ def k3_check_paper(k3, k4, k5, k6, pair_set, pair_idx, spec):
     cancels and the verdict is independent of k3.  The predicate exists to
     demonstrate exactly that degeneracy.
     """
-    pta, cta = pair_set.pairs[0]
-    ptb, ctb = pair_set.pairs[pair_idx - 1]
-    delta = (_r4(cta, k4, k5, k6, spec) ^ _r4(ctb, k4, k5, k6, spec)
-             ^ spec.round_f(2, _r3(cta, k3, k4, k5, k6, spec))
-             ^ spec.round_f(2, _r3(ctb, k3, k4, k5, k6, spec)))
-    return bool(np.all(delta == (pta[0] ^ ptb[0])))
+    return bool(np.all(_peel_diff((k3, k4, k5, k6), pair_set, pair_idx, spec)
+                       == _plaintext_left_diff(pair_set, pair_idx)))
 
 
 def k1k3_constant(pair_set, k2_prime, k5, k6, spec):
@@ -211,7 +193,7 @@ def k1k3_constant(pair_set, k2_prime, k5, k6, spec):
     must agree or the upstream keys are wrong."""
     values = set()
     for pt, ct in pair_set.pairs:
-        l4 = _r5(ct, k5, k6, spec)
+        l4 = _peeled_right(ct, (k5, k6), spec)
         values.add(int(l4 ^ spec.round_f(3, pt[0] ^ k2_prime)
                        ^ pair_set.constant_c))
     if len(values) != 1:
@@ -261,7 +243,7 @@ def _search_candidates(predicate_vec, spec, backend, seed, retry_bound):
         for attempt in range(retry_bound):
             idx, ledger = grover.grover_sample(
                 lambda x: bool(truth[x]), n, seed=seed + attempt,
-                iterations=iters)
+                iterations=iters, marked=survivors)
             queries += ledger.oracle_queries
             evals += ledger.notes.get("classical_evals", 0)
             if truth[idx]:
@@ -422,17 +404,17 @@ def run_asr_attack(pair_set, spec, backends="classical", seed=0,
     if not claws:
         raise AttackError("no claw found: malformed pair set, reject")
 
+    l1_diffs = [_plaintext_left_diff(pair_set, p) for p in (2, 3)]
     for k2_prime, k6 in claws:
         k5s, q5, e5 = _search_candidates(
-            lambda xs: (_k5_delta(xs, k6, pair_set, 2, spec)
-                        & _k5_delta(xs, k6, pair_set, 3, spec)),
+            lambda xs: _peel_match((xs, k6), l1_diffs, pair_set, spec),
             spec, backends["search"], seed + 1, retry_bound)
         stats.grover_queries["k5"] = stats.grover_queries.get("k5", 0) + q5
         stats.classical_evals["k5"] = stats.classical_evals.get("k5", 0) + e5
         for k5 in k5s:
             k4s, q4, e4 = _search_candidates(
-                lambda xs: (_k4_delta(xs, k5, k6, pair_set, 2, spec)
-                            & _k4_delta(xs, k5, k6, pair_set, 3, spec)),
+                lambda xs: _peel_match((xs, k5, k6), (0, 0), pair_set,
+                                       spec),
                 spec, backends["search"], seed + 2, retry_bound)
             stats.grover_queries["k4"] = stats.grover_queries.get("k4", 0) + q4
             stats.classical_evals["k4"] = stats.classical_evals.get("k4", 0) + e4

@@ -113,15 +113,15 @@ def feistel_encrypt(block, keys, spec):
 
 def feistel_decrypt(block, keys, spec):
     check_subkeys(keys, spec)
-    left, right = block
-    for i in range(spec.rounds, 0, -1):
-        left, right = right, left ^ spec.round_f(i, right) ^ keys[i - 1]
-    return left, right
+    return partial_decrypt(block, keys, spec, spec.rounds, 1)
 
 
 def partial_decrypt(block, keys, spec, from_round, to_round):
     """Invert rounds from_round down to to_round; returns the state at the
-    input of to_round.  An empty range (from_round < to_round) is a no-op."""
+    input of to_round.  An empty range (from_round < to_round) is a no-op.
+
+    Keys may be numpy arrays: the result is then the element-wise
+    decryption under every key combination at once."""
     if from_round < to_round:
         return block
     if not (1 <= to_round and from_round <= spec.rounds):

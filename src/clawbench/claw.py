@@ -23,7 +23,6 @@ class ClawProblem:
     range_bits: int           # v, per equation
     f_family: tuple           # w callables, each maps u-bit word(s) -> v-bit
     g_family: tuple
-    expected_unique: bool = False
 
     def __post_init__(self):
         if len(self.f_family) != len(self.g_family):
@@ -44,21 +43,12 @@ def concat_multi(problem):
     """Combined function F over u+1 bits -> v*w bits.
 
     F(0||x) = f_1(x)||...||f_w(x), F(1||x) = g_1(x)||...||g_w(x); the
-    concatenation packs equation 1 into the most significant v bits.
+    concatenation packs equation 1 into the most significant v bits.  F is
+    a lookup into the two side tables, so it is the packing the searches
+    run.
     """
-    u, v = problem.domain_bits, problem.range_bits
-    n = problem.n_side
-
-    def combined(j):
-        c = j >> u
-        x = j & (n - 1)
-        fam = problem.g_family if c else problem.f_family
-        out = 0
-        for fn in fam:
-            out = (out << v) | int(fn(x))
-        return out
-
-    return combined
+    table = np.concatenate([side_table(problem, 0), side_table(problem, 1)])
+    return lambda j: int(table[j])
 
 
 def side_table(problem, side):
@@ -132,9 +122,3 @@ def find_claws_sorted(problem, max_bits=24):
             claws.extend(block)
             i, j = i2, j2
     return claws, evals
-
-
-def find_claw_sorted(problem, max_bits=24):
-    """First claw in sorted-value order, or None.  Returns (claw, evals)."""
-    claws, evals = find_claws_sorted(problem, max_bits)
-    return (claws[0] if claws else None), evals

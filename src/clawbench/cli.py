@@ -141,8 +141,7 @@ def cmd_attack(args):
 
 def cmd_sim_grover(args):
     marked = tuple(int(t, 0) for t in args.marked.split(","))
-    inst = GroverInstance(args.items, marked, args.iterations,
-                          seed=args.seed)
+    inst = GroverInstance(args.items, marked, args.iterations)
     prob, ledger = marked_probability(inst)
     _emit(args, {
         "items": args.items,
@@ -167,8 +166,7 @@ def planted_claw_problem(bits, seed):
     g_tab[x2] = f_tab[x1]
     return ClawProblem(domain_bits=bits, range_bits=bits + 1,
                        f_family=(lambda x: f_tab[x],),
-                       g_family=(lambda x: g_tab[x],),
-                       expected_unique=True), (int(x1), int(x2))
+                       g_family=(lambda x: g_tab[x],)), (int(x1), int(x2))
 
 
 def cmd_sim_clawwalk(args):
@@ -290,7 +288,6 @@ def build_parser():
     p.add_argument("--items", type=int, required=True)
     p.add_argument("--marked", required=True, help="comma-separated indices")
     p.add_argument("--iterations", type=int)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_sim_grover)
 

@@ -40,7 +40,6 @@ class GroverInstance:
     n_items: int
     marked: tuple                    # marked indices
     iterations: int | None = None    # None -> floor((pi/4) sqrt(N/M))
-    seed: int | None = None
 
     def __post_init__(self):
         self.marked = tuple(sorted(set(self.marked)))
@@ -93,40 +92,28 @@ def marked_probability(inst):
 def grover_sample(predicate, n_items, seed, iterations=None, marked=None):
     """Run Grover on a predicate oracle and sample one measurement outcome.
 
-    For N within the statevector guard the exact distribution is sampled.
-    Beyond it, the closed-form two-class distribution (marked vs not) is
-    used instead - exact by symmetry, but it needs the marked set, which
-    is then collected by a classical predicate scan charged to the
-    ledger's notes (not to the quantum query count).
+    The measurement law is the closed form, exact for any number M of
+    marked items (Boyer-Brassard-Hoyer-Tapp, quant-ph/9605034): after R
+    iterations each marked item has probability sin^2((2R+1)theta) / M
+    and each other item the rest over N - M, with sin^2(theta) = M/N.
+    grover_run_statevector is the reference it is tested against.  When
+    marked is not given it is collected by a classical predicate scan.
+    Both cases charge N classical evaluations to the ledger's notes (not
+    to the quantum query count).
 
     Returns (index, ledger).  The caller verifies the sample classically.
     """
     rng = np.random.default_rng(seed)
-    if n_items <= STATEVECTOR_LIMIT:
-        marked = [x for x in range(n_items) if predicate(x)]
-        inst = GroverInstance(n_items, tuple(marked), iterations)
-        probs, ledger = grover_run_statevector(inst)
-        ledger.notes["classical_evals"] = n_items
-        idx = int(rng.choice(n_items, p=probs / probs.sum()))
-        return idx, ledger
     if marked is None:
         marked = [x for x in range(n_items) if predicate(x)]
     if not marked:
         raise ValueError("no marked element")
+    m = len(marked)
     if iterations is None:
-        iterations = grover_iterations(n_items, len(marked))
-    p_hit = grover_success_prob(n_items, len(marked), iterations)
+        iterations = grover_iterations(n_items, m)
+    p_hit = grover_success_prob(n_items, m, iterations)
+    probs = np.full(n_items, (1 - p_hit) / max(n_items - m, 1))
+    probs[marked] = p_hit / m
     ledger = QueryLedger(oracle_queries=iterations,
                          notes={"classical_evals": n_items})
-    if rng.random() < p_hit:
-        return int(rng.choice(marked)), ledger
-    unmarked_draw = int(rng.integers(0, n_items - len(marked)))
-    marked_set = set(marked)
-    idx = 0
-    seen = 0
-    for idx in range(n_items):
-        if idx not in marked_set:
-            if seen == unmarked_draw:
-                break
-            seen += 1
-    return idx, ledger
+    return int(rng.choice(n_items, p=probs / probs.sum())), ledger

@@ -347,12 +347,12 @@ def claw_walk_run(problem, params=None, mode="collapsed", claws=None,
         params = walk_params(n, n)
     if claws is None:
         claws = find_claws_exhaustive(problem)
+    if mode == "collapsed" and len(claws) != 1:
+        raise UniqueClawRequired(
+            f"collapsed mode needs a unique claw, found {len(claws)}")
     if tune:
         params = tune_outer_reps(n, params)
     if mode == "collapsed":
-        if len(claws) != 1:
-            raise UniqueClawRequired(
-                f"collapsed mode needs a unique claw, found {len(claws)}")
         sim = CollapsedWalkSim(n, params)
         prob = sim.run()
         return WalkResult(prob, claws[0], sim.ledger, params, mode,

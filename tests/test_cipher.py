@@ -67,6 +67,15 @@ def test_partial_decrypt_round_range():
     assert partial_decrypt(mid, keys, spec, 2, 1) == pt
     with pytest.raises(ValueError):
         partial_decrypt(ct, keys, spec, 7, 1)
+    # numpy key arrays decrypt element-wise, as the attack's key sweeps do
+    k4s = np.arange(0, 1 << 16, 251, dtype=np.uint32)
+    k6s = k4s[::-1] ^ np.uint32(0x5A5A)
+    left, right = partial_decrypt(ct, (*keys[:3], k4s, keys[4], k6s), spec,
+                                  6, 2)
+    for i, (k4, k6) in enumerate(zip(k4s, k6s)):
+        scalar_keys = (*keys[:3], int(k4), keys[4], int(k6))
+        assert partial_decrypt(ct, scalar_keys, spec, 6, 2) == (left[i],
+                                                                right[i])
 
 
 def test_z_sequence_variants():

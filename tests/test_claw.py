@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from clawbench.claw import (CapacityError, ClawProblem, concat_multi,
-                            find_claw_sorted, find_claws_exhaustive,
-                            find_claws_sorted, side_table)
+                            find_claws_exhaustive, find_claws_sorted,
+                            side_table)
 
 
 def table_problem(f_tabs, g_tabs, domain_bits, range_bits):
@@ -37,8 +37,8 @@ def test_concat_multi_layout():
 def test_no_claw():
     problem = table_problem([[0, 1]], [[2, 3]], 1, 2)
     assert find_claws_exhaustive(problem) == []
-    claw, evals = find_claw_sorted(problem)
-    assert claw is None
+    claws, evals = find_claws_sorted(problem)
+    assert claws == []
     assert evals == 4
 
 

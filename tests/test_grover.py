@@ -68,3 +68,22 @@ def test_sample_beyond_statevector_guard_uses_closed_form():
     assert ledger.oracle_queries == grover_iterations(n, 1)
     # closed-form success here is ~1, so the sample lands on the target
     assert idx == 5
+
+
+def test_sample_draws_from_the_statevector_law():
+    # the closed-form draw equals the statevector draw seed for seed,
+    # including several marked items under the single-item iteration count
+    # (as the attack's search stages run it) and every item marked
+    grids = [(4, (2,), 1), (256, (7,), None), (256, (3, 40, 41, 200), 12),
+             (64, tuple(range(0, 64, 3)), 6), (1 << 10, (137,), None),
+             (16, tuple(range(16)), 3)]
+    for n, marked, iterations in grids:
+        inst = GroverInstance(n, marked, iterations)
+        probs, _ = grover_run_statevector(inst)
+        for seed in range(200):
+            want = np.random.default_rng(seed).choice(n, p=probs / probs.sum())
+            idx, ledger = grover_sample(
+                lambda x: x in inst.marked, n, seed, iterations,
+                marked=list(marked) if seed % 2 else None)
+            assert idx == want
+            assert ledger.oracle_queries == inst.iterations

@@ -1,0 +1,86 @@
+"""Attack reports stay byte-identical: SHA-256 of the JSON that
+`clawbench attack run ARGS --out FILE` writes, pinned per ARGS.
+
+A change that alters any of these digests changed a report; if that is
+intended, record why in CHANGES.md and update the digest.
+"""
+
+import hashlib
+
+import pytest
+
+from clawbench.cli import main
+
+DIGESTS = {
+    "--vectors paper":
+        "095d77573124a02dd694afdeea0c4e241543aa52dc798ec88813119daa413d9d",
+    "--vectors paper --no-extra-pair":
+        "a803724e20976ea16befb4803fb3d0482ed09bdce727d7c575fbc187b0d405fe",
+    "--width 8 --random-seed 0 --backend classical":
+        "938cbb4b123d24baa3ab163f0640f59de9fa7119385adf1b3090f981396c9198",
+    "--width 8 --random-seed 1 --backend classical":
+        "8fe7135e5e4b6a4775d4b23c0aefa3c5af2de997e5f8494958b1b75ac3a351cc",
+    "--width 8 --random-seed 2 --backend classical":
+        "8e26798ed17416c137345385888c3553a9a700f205eb68309355e8c5fb85917e",
+    "--width 8 --random-seed 3 --backend classical":
+        "a81dc9a2373e535aa0a728dbdd11bf0abd06a64952ae7d5be0d178139e3214ff",
+    "--width 8 --random-seed 4 --backend classical":
+        "86c1d0c72a0f573e566d812bc9e8969e65d75359b43f7b87bcc14768786089c3",
+    "--width 8 --random-seed 5 --backend classical":
+        "7f49b4eeb8612956db41e2e8d33fa1d5d9b365907f35bdf4d8de9f1903a40e0f",
+    "--width 8 --random-seed 6 --backend classical":
+        "50ead3c3ec5ff500ac9e8e1dd88527703740277f326f961c798580bfa0e86256",
+    "--width 8 --random-seed 7 --backend classical":
+        "324f6c329dde020d23dd2034c1d3a4aac2575548dde44226fd201a1132002a9e",
+    "--width 8 --random-seed 8 --backend classical":
+        "5b1a6595efc265026236fe84cab78725671baacbe60148765283769d00c83174",
+    "--width 8 --random-seed 9 --backend classical":
+        "a663c1b17afd23e910d9cfeb3cfbac22a79163f2c9d1f9327cd0d639347c11e8",
+    "--width 8 --random-seed 0 --backend exhaustive":
+        "06508b724c38a4397cc0a07e220fb9ab547d8404bf964e7daca06d0ac41a7515",
+    "--width 8 --random-seed 1 --backend exhaustive":
+        "9e3ca8b648201772475755263c853e1c78f6ec12e5591a0424206361bc4a4595",
+    "--width 8 --random-seed 2 --backend exhaustive":
+        "0f5610724c53c34ddedbfc043dc0998e988df28430e258e5a6aa9c64fb61da4d",
+    "--width 8 --random-seed 3 --backend exhaustive":
+        "c2d84eb9ff498f4960118b044a199d7f06fb34292a02cd0468f11221162d4b42",
+    "--width 8 --random-seed 4 --backend exhaustive":
+        "7fe6c89f35d4e2ec1c5173eaf666a1612f0948a24cf77abd98721e0673219e3a",
+    "--width 8 --random-seed 5 --backend exhaustive":
+        "d9bfeebdd66fbe62b856be0bf9b95fc04190bfedd7671edb6e2bd7474c611d40",
+    "--width 8 --random-seed 6 --backend exhaustive":
+        "271e8f923cc8bb5eaf2577722c68fbb9533641d28a7a02a647d3175a73341aac",
+    "--width 8 --random-seed 7 --backend exhaustive":
+        "43307d3927393568002e41d6389a02b7c160a8cdf9e7f75c270eaa85fb4a8f98",
+    "--width 8 --random-seed 8 --backend exhaustive":
+        "fe00bc5fd3f23b9f65293fbe27e9730d07b6ed9f88ae352fbc7926af77540d28",
+    "--width 8 --random-seed 9 --backend exhaustive":
+        "fcfd875b480f287d9392adf64df24f3cf9df0be14aa4fc4da25bcc6157787005",
+    "--width 8 --random-seed 0 --backend walk-sim":
+        "4819a19a5ba17a6b2ba478dd7c54cefa0001ef73460b3137bf289864c425e033",
+    "--width 8 --random-seed 1 --backend walk-sim":
+        "d52d636696970df4a27b3cee52642e224e8da169148de156ab3e7b9479996b96",
+    "--width 8 --random-seed 2 --backend walk-sim":
+        "721feffe40f190ee8ea6f90c115fba121ffaf8cc2cf3556f8db2477693664e25",
+    "--width 8 --random-seed 3 --backend walk-sim":
+        "a1c7cf0a61b62e1507edf93faec80076bcbc78423e14fac10ef6a5e92632947b",
+    "--width 8 --random-seed 4 --backend walk-sim":
+        "e13e9bbad3b21b25d5512ede46de09175ead11cd085a657793a940c2350d5f23",
+    "--width 8 --random-seed 5 --backend walk-sim":
+        "f118575da7c2c65a0ade1badf4fbf185f5b1701b875e1b7e3ca3dff8f509c2a0",
+    "--width 8 --random-seed 6 --backend walk-sim":
+        "1921773cda3b2631a86847ec13e0c5a8b992cba0e305fc44f36bf1b954a3de17",
+    "--width 8 --random-seed 7 --backend walk-sim":
+        "86b57a01a3b27d670136a55f866182073af8708f1462ea82c02853d0bad7a2ec",
+    "--width 8 --random-seed 8 --backend walk-sim":
+        "a531258088a52a9002b5b2c14e156e440ad1f5bab3ca9b3344bca45e350ff9ae",
+    "--width 8 --random-seed 9 --backend walk-sim":
+        "f5d87e19b84db919cefc5043703eb998dc38775865d98d6338629153f9fe7174",
+}
+
+
+@pytest.mark.parametrize("args", DIGESTS)
+def test_report_digest(tmp_path, args):
+    out = tmp_path / "report.json"
+    assert main(["attack", "run", *args.split(), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS[args]

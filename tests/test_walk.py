@@ -16,8 +16,7 @@ def planted_problem(domain_bits, claw_at=(0, 0)):
     g_tab[claw_at[1]] = f_tab[claw_at[0]]
     return ClawProblem(domain_bits=domain_bits, range_bits=domain_bits + 1,
                        f_family=(lambda x: f_tab[x],),
-                       g_family=(lambda x: g_tab[x],),
-                       expected_unique=True)
+                       g_family=(lambda x: g_tab[x],))
 
 
 def test_walk_params_balanced():
@@ -112,7 +111,7 @@ def test_claw_walk_run_modes_agree():
     assert rc.ledger.oracle_queries == ledger_law(rc.params)
 
 
-def test_collapsed_requires_unique_claw():
+def test_collapsed_requires_unique_claw(monkeypatch):
     n = 8
     f_tab = np.zeros(n, np.uint32)
     g_tab = np.zeros(n, np.uint32)
@@ -121,6 +120,10 @@ def test_collapsed_requires_unique_claw():
                           g_family=(lambda x: g_tab[x],))
     with pytest.raises(UniqueClawRequired):
         claw_walk_run(problem, mode="collapsed")
+    # the refusal comes before any tuning work
+    monkeypatch.setattr("clawbench.walk.tune_outer_reps", None)
+    with pytest.raises(UniqueClawRequired):
+        claw_walk_run(problem, mode="collapsed", tune=True)
 
 
 def test_claw_walk_sample_finds_planted_claw():
