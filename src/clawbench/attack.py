@@ -14,9 +14,13 @@ extra pair violating the rule cuts the family down to a few candidates
 (see resolve_k1_k2_k3 for why not always to one).  k3_check_paper
 implements the round-1 matching predicate literally to demonstrate that
 it is independent of K3 on rule pairs.
+
+Every stage after the claw works by peeling ciphertexts back through the
+rounds whose keys are already known (cipher.partial_decrypt), resolve
+included, and each stage's inputs are computed once: one claw census per
+attack, and K1 ^ K3 once per (K2', K6, K5) before the K4 search.
 """
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +28,7 @@ import numpy as np
 from . import grover
 from .cipher import feistel_encrypt, partial_decrypt, simeck_f
 from .claw import ClawProblem, find_claws_exhaustive, find_claws_sorted
-from .walk import UniqueClawRequired, claw_walk_sample
+from .walk import claw_walk_sample
 from .words import check_word, mask, word_to_hex
 
 
@@ -57,12 +61,6 @@ class ChosenPairSet:
             (l1, r1), _ct = self.extra_pair
             if spec.round_f(1, l1) ^ r1 == self.constant_c:
                 raise AttackError("extra pair must violate the selection rule")
-
-    def plaintexts(self):
-        return [pt for pt, _ in self.pairs]
-
-    def ciphertexts(self):
-        return [ct for _, ct in self.pairs]
 
 
 def make_chosen_plaintext(l1, constant_c, spec):
@@ -211,48 +209,39 @@ class QueryStats:
     claw_queries: int = 0
     grover_queries: dict = field(default_factory=dict)
     classical_evals: dict = field(default_factory=dict)
-    wall_time: float = 0.0              # not serialized: reports stay byte-stable
     walk_success_prob: float | None = None
 
-    def total_grover(self):
-        return sum(self.grover_queries.values())
 
-
-def _search_candidates(predicate_vec, spec, backend, seed, retry_bound):
+def _search_candidates(predicate, spec, backend, seed, retry_bound):
     """Candidate key values for one Grover-style stage.
 
-    predicate_vec maps a numpy array of all 2^w candidates to a bool
+    predicate maps a numpy array of all 2^w candidates to a bool
     array.  Returns (candidates, quantum_queries, classical_evals);
     exhaustive returns every survivor, grover samples and verifies up to
-    retry_bound times.
+    retry_bound times.  Either backend charges the one vectorised sweep,
+    N classical evaluations, however many samples missed.
     """
     n = 1 << spec.word_width
     xs = np.arange(n, dtype=np.uint32)
-    truth = predicate_vec(xs)
+    truth = predicate(xs)
     survivors = [int(x) for x in np.nonzero(truth)[0]]
-    if backend == "exhaustive":
+    if backend == "exhaustive" or not survivors:
         return survivors, 0, n
-    if backend == "grover":
-        if not survivors:
-            return [], 0, n
-        queries = 0
-        evals = 0
-        # iteration count assumes a single marked element; spurious
-        # survivors are handled by reruns and classical verification
-        iters = grover.grover_iterations(n, 1)
-        for attempt in range(retry_bound):
-            idx, ledger = grover.grover_sample(
-                lambda x: bool(truth[x]), n, seed=seed + attempt,
-                iterations=iters, marked=survivors)
-            queries += ledger.oracle_queries
-            evals += ledger.notes.get("classical_evals", 0)
-            if truth[idx]:
-                break
-        # candidates are returned in ascending order for both backends so
-        # the downstream pipeline is backend-independent; the sampling
-        # above contributes the quantum query accounting
-        return survivors, queries, evals
-    raise ValueError(f"unknown search backend {backend!r}")
+    queries = 0
+    # iteration count assumes a single marked element; spurious
+    # survivors are handled by reruns and classical verification
+    iters = grover.grover_iterations(n, 1)
+    for attempt in range(retry_bound):
+        idx, ledger = grover.grover_sample(
+            lambda x: bool(truth[x]), n, seed=seed + attempt,
+            iterations=iters, marked=survivors)
+        queries += ledger.oracle_queries
+        if truth[idx]:
+            break
+    # candidates are returned in ascending order for both backends so
+    # the downstream pipeline is backend-independent; the sampling above
+    # contributes the quantum query accounting
+    return survivors, queries, n
 
 
 @dataclass
@@ -282,39 +271,33 @@ BACKEND_PRESETS = {
 }
 
 
-def _claw_candidates(problem, backend, seed, walk_retries, stats, stage):
-    """Stage-1 claw candidates in deterministic order.
+def _claw_candidates(problem, backend, seed, walk_retries, stats):
+    """Stage-1 claw candidates in deterministic order, from one census.
 
-    Walk backends sample one claw (collapsed mode falls back to the
-    sorted search when the claw is not unique); classical backends return
-    the whole claw set so the pipeline can iterate on spurious claws.
+    The exhaustive backend takes the census from the pairwise scan, every
+    other backend from one sort-and-match.  Walk backends sample one claw
+    from that census (collapsed mode falls back to the sorted result when
+    the claw is not unique); classical backends return the whole claw set
+    so the pipeline can iterate on spurious claws.
     """
+    stats.classical_evals["claw"] = 2 * problem.n_side
     if backend == "exhaustive":
-        claws = find_claws_exhaustive(problem)
-        stats.classical_evals[stage] = 2 * problem.n_side
-        return claws, backend
+        return find_claws_exhaustive(problem), backend
+    claws, _ = find_claws_sorted(problem)
     if backend == "sorted":
-        claws, evals = find_claws_sorted(problem)
-        stats.classical_evals[stage] = evals
         return claws, backend
-    if backend in ("walk-collapsed", "walk-full"):
-        mode = backend.removeprefix("walk-")
-        try:
-            result = claw_walk_sample(problem, seed=seed, mode=mode,
-                                      max_retries=walk_retries)
-        except UniqueClawRequired:
-            claws, evals = find_claws_sorted(problem)
-            stats.classical_evals[stage] = evals
-            return claws, f"{backend}->sorted (claw not unique)"
-        stats.claw_queries = result.ledger.oracle_queries
-        stats.classical_evals[stage] = 2 * problem.n_side  # uniqueness scan
-        stats.walk_success_prob = result.success_prob
-        if result.claw is None:
-            # retries exhausted; the remaining claw set is still known
-            return result.all_claws, f"{backend}->exhausted"
-        rest = [c for c in result.all_claws if c != result.claw]
-        return [result.claw] + rest, backend
-    raise ValueError(f"unknown claw backend {backend!r}")
+    mode = backend.removeprefix("walk-")
+    if mode == "collapsed" and len(claws) != 1:
+        return claws, f"{backend}->sorted (claw not unique)"
+    result = claw_walk_sample(problem, seed=seed, mode=mode,
+                              max_retries=walk_retries, claws=sorted(claws))
+    stats.claw_queries = result.ledger.oracle_queries
+    stats.walk_success_prob = result.success_prob
+    if result.claw is None:
+        # retries exhausted; the remaining claw set is still known
+        return result.all_claws, f"{backend}->exhausted"
+    rest = [c for c in result.all_claws if c != result.claw]
+    return [result.claw] + rest, backend
 
 
 def schedule_consistent(k1, k2, k5, spec):
@@ -329,10 +312,23 @@ def resolve_k1_k2_k3(c_star, k2_prime, pair_set, spec, k456, backend,
     """Resolve (K1, K2, K3) via the extra pair, or report the equivalence
     family (representative K1 = 0) when none is supplied.
 
+    Like every other stage this peels: the extra pair's ciphertext goes
+    back through rounds 6..4 once to the round-4 input (L4, R4).  With
+    a = R1 ^ F1(L1) the forward rounds 1-3 under the family member of K1
+    (K2 = F2(K1 ^ C) ^ K2', K3 = K1 ^ c*) give
+
+        L4 = a ^ c* ^ F3(L3)     R4 = L3 = L1 ^ F2(a ^ K1) ^ F2(C ^ K1) ^ K2'
+
+    so K1 cancels from the O(1) filter L4 ^ F3(R4) ^ c* == a, and a
+    tuple that passes it leaves the sweep
+    F2(a ^ K1) ^ F2(C ^ K1) == R4 ^ L1 ^ K2'.  Rounds 4-6 are a
+    bijection under the known keys, so filter and sweep together accept
+    exactly the K1 that encrypt the extra pair over all six rounds.
+
     One extra pair cannot always pin K1 alone: with the same round
-    function in rounds 1-3 the extra-pair predicate is invariant under
-    k1 -> k1 ^ R1 ^ F(L1) ^ C, so survivors come in pairs.  When the
-    cipher uses the Simeck key schedule the consistency relation
+    function in rounds 1-3 the sweep is invariant under
+    k1 -> k1 ^ a ^ C, so survivors come in pairs.  When the cipher uses
+    the Simeck key schedule the consistency relation
     K5 = F(K2) ^ K1 ^ (2^w - 4) ^ z0 breaks the tie; otherwise the
     smallest survivor is reported and the ambiguity is flagged.
     """
@@ -340,20 +336,15 @@ def resolve_k1_k2_k3(c_star, k2_prime, pair_set, spec, k456, backend,
     if pair_set.extra_pair is None:
         k1, k2, k3 = family_member(0, k2_prime, c_star, c, spec)
         return (k1, k2, k3), "equivalence-family"
-    pt, ct = pair_set.extra_pair
-
-    def predicate_vec(xs):
-        k2s = spec.round_f(2, xs ^ c) ^ k2_prime
-        k3s = xs ^ c_star
-        left = np.full_like(xs, pt[0])
-        right = np.full_like(xs, pt[1])
-        keys = [xs, k2s, k3s, *k456]
-        for i, k in enumerate(keys, start=1):
-            left, right = right ^ spec.round_f(i, left) ^ k, left
-        return (left == ct[0]) & (right == ct[1])
-
-    cands, q, evals = _search_candidates(predicate_vec, spec, backend,
-                                         seed, retry_bound)
+    (l1, r1), ct = pair_set.extra_pair
+    l4, r4 = partial_decrypt(ct, (0, 0, 0, *k456), spec, 6, 4)
+    a = r1 ^ spec.round_f(1, l1)
+    if l4 ^ spec.round_f(3, r4) ^ c_star != a:
+        raise AttackError("no K1 satisfies the extra pair; upstream keys wrong")
+    target = r4 ^ l1 ^ k2_prime
+    cands, q, evals = _search_candidates(
+        lambda xs: spec.round_f(2, xs ^ a) ^ spec.round_f(2, xs ^ c) == target,
+        spec, backend, seed, retry_bound)
     stats.grover_queries["resolve-k1"] = q
     stats.classical_evals["resolve-k1"] = evals
     if not cands:
@@ -379,26 +370,25 @@ def run_asr_attack(pair_set, spec, backends="classical", seed=0,
     and K4, the K1 ^ K3 constant, then (K1, K2, K3) resolution and final
     trial-encryption arbitration.
 
-    backends is a preset name or a {"claw": ..., "search": ...} mapping.
-    Returns (RecoveredKeys, QueryStats, stages) where stages is the
-    per-stage report list.
+    backends is a BACKEND_PRESETS name.  Returns (RecoveredKeys,
+    QueryStats, stages) where stages is the per-stage report list.
     """
     if spec.rounds != 6:
         raise AttackError("the attack targets the 6-round structure")
     pair_set.validate(spec)
-    if isinstance(backends, str):
-        backends = BACKEND_PRESETS[backends]
-    t0 = time.perf_counter()
+    if backends not in BACKEND_PRESETS:
+        raise ValueError(f"unknown backend {backends!r}")
+    backends = BACKEND_PRESETS[backends]
     stats = QueryStats()
     stages = []
     w = spec.word_width
 
     problem = build_claw_problem(pair_set, spec)
     claws, claw_backend = _claw_candidates(
-        problem, backends["claw"], seed, walk_retries, stats, "claw")
+        problem, backends["claw"], seed, walk_retries, stats)
     stages.append({"name": "claw-k2prime-k6", "backend": claw_backend,
                    "queries": stats.claw_queries
-                   or stats.classical_evals.get("claw", 0),
+                   or stats.classical_evals["claw"],
                    "result_hex": [[word_to_hex(a, w), word_to_hex(b, w)]
                                   for a, b in claws]})
     if not claws:
@@ -412,6 +402,10 @@ def run_asr_attack(pair_set, spec, backends="classical", seed=0,
         stats.grover_queries["k5"] = stats.grover_queries.get("k5", 0) + q5
         stats.classical_evals["k5"] = stats.classical_evals.get("k5", 0) + e5
         for k5 in k5s:
+            try:
+                c_star = k1k3_constant(pair_set, k2_prime, k5, k6, spec)
+            except AttackError:
+                continue
             k4s, q4, e4 = _search_candidates(
                 lambda xs: _peel_match((xs, k5, k6), (0, 0), pair_set,
                                        spec),
@@ -420,10 +414,6 @@ def run_asr_attack(pair_set, spec, backends="classical", seed=0,
             stats.classical_evals["k4"] = stats.classical_evals.get("k4", 0) + e4
             for k4 in k4s:
                 try:
-                    c_star = k1k3_constant(pair_set, k2_prime, k5, k6, spec)
-                except AttackError:
-                    continue
-                try:
                     (k1, k2, k3), uniqueness = resolve_k1_k2_k3(
                         c_star, k2_prime, pair_set, spec, (k4, k5, k6),
                         backends["search"], seed + 3, retry_bound, stats)
@@ -431,7 +421,6 @@ def run_asr_attack(pair_set, spec, backends="classical", seed=0,
                     continue
                 keys = (k1, k2, k3, k4, k5, k6)
                 if _verify(pair_set, keys, spec):
-                    stats.wall_time = time.perf_counter() - t0
                     stages.append({"name": "k5", "backend": backends["search"],
                                    "queries": q5 or e5,
                                    "result_hex": word_to_hex(k5, w)})
@@ -458,8 +447,6 @@ def run_asr_attack(pair_set, spec, backends="classical", seed=0,
 def attack_report(pair_set, spec, recovered, stats, stages, backends):
     """JSON-ready attack report (deterministic for a fixed config+seed)."""
     w = spec.word_width
-    if isinstance(backends, str):
-        backends = BACKEND_PRESETS[backends]
     pairs = [{"plaintext": [word_to_hex(pt[0], w), word_to_hex(pt[1], w)],
               "ciphertext": [word_to_hex(ct[0], w), word_to_hex(ct[1], w)]}
              for pt, ct in pair_set.pairs]
@@ -468,7 +455,7 @@ def attack_report(pair_set, spec, recovered, stats, stages, backends):
                  "round_function": spec.round_function},
         "constant_c": word_to_hex(pair_set.constant_c, w),
         "pairs": pairs,
-        "backends": backends,
+        "backends": BACKEND_PRESETS[backends],
         "stages": stages,
         "recovered": {
             **{f"K{i}": word_to_hex(k, w)

@@ -67,15 +67,22 @@ def side_table(problem, side):
     return out
 
 
-def find_claws_exhaustive(problem, max_bits=12):
+EXHAUSTIVE_MAX_BITS = 12
+
+
+def check_exhaustive_bits(u, max_bits=EXHAUSTIVE_MAX_BITS):
+    """Refuse an exhaustive census over 2^u x 2^u pairs beyond the guard."""
+    if u > max_bits:
+        raise CapacityError(f"exhaustive scan refused for u={u} > {max_bits}")
+
+
+def find_claws_exhaustive(problem, max_bits=EXHAUSTIVE_MAX_BITS):
     """All claws by full pairwise scan, ascending (x1, x2) order.
 
     The ground-truth oracle: every (x1, x2) pair is compared directly,
     independent of the sorted-match search path.
     """
-    u = problem.domain_bits
-    if u > max_bits:
-        raise CapacityError(f"exhaustive scan refused for u={u} > {max_bits}")
+    check_exhaustive_bits(problem.domain_bits, max_bits)
     f_tab = side_table(problem, 0)
     g_tab = side_table(problem, 1)
     eq = f_tab[:, None] == g_tab[None, :]
@@ -88,6 +95,8 @@ def find_claws_sorted(problem, max_bits=24):
 
     Returns (claws, evaluations); claws come in sorted-value order with
     lexicographic (x1, x2) tie-break, and evaluations == 2^(u+1) exactly.
+    The stable sorts keep equal values in ascending index order, so each
+    f entry's run of equal g values [lo, hi) is already in x2 order.
     """
     u = problem.domain_bits
     if u > max_bits:
@@ -100,25 +109,8 @@ def find_claws_sorted(problem, max_bits=24):
     g_order = np.argsort(g_tab, kind="stable")
     f_sorted = f_tab[f_order]
     g_sorted = g_tab[g_order]
-
-    claws = []
-    i = j = 0
-    nf, ng = len(f_sorted), len(g_sorted)
-    while i < nf and j < ng:
-        if f_sorted[i] < g_sorted[j]:
-            i += 1
-        elif f_sorted[i] > g_sorted[j]:
-            j += 1
-        else:
-            value = f_sorted[i]
-            i2 = i
-            while i2 < nf and f_sorted[i2] == value:
-                i2 += 1
-            j2 = j
-            while j2 < ng and g_sorted[j2] == value:
-                j2 += 1
-            block = sorted((int(a), int(b))
-                           for a in f_order[i:i2] for b in g_order[j:j2])
-            claws.extend(block)
-            i, j = i2, j2
+    lo = np.searchsorted(g_sorted, f_sorted, side="left")
+    hi = np.searchsorted(g_sorted, f_sorted, side="right")
+    claws = [(int(f_order[i]), int(b)) for i in np.nonzero(hi > lo)[0]
+             for b in g_order[lo[i]:hi[i]]]
     return claws, evals

@@ -17,7 +17,7 @@ from .attack import (AttackError, BACKEND_PRESETS, ChosenPairSet,
 from .cipher import (FeistelSpec, feistel_decrypt, feistel_encrypt,
                      key_schedule_report, random_subkeys,
                      simeck_key_schedule)
-from .claw import CapacityError, ClawProblem
+from .claw import CapacityError, ClawProblem, check_exhaustive_bits
 from .grover import (GroverInstance, grover_success_prob, marked_probability)
 from .walk import (CollapsedWalkSim, claw_walk_run, claw_walk_sample,
                    ledger_law, walk_params)
@@ -170,6 +170,9 @@ def planted_claw_problem(bits, seed):
 
 
 def cmd_sim_clawwalk(args):
+    # the walk's claw census is the exhaustive scan: refuse before the
+    # 2^bits-entry tables are built
+    check_exhaustive_bits(args.bits)
     problem, planted = planted_claw_problem(args.bits, args.seed)
     params = walk_params(problem.n_side, problem.n_side, args.multiplier)
     result = claw_walk_sample(problem, seed=args.seed, mode=args.mode,

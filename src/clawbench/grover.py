@@ -7,7 +7,7 @@ oracle application is charged to the query ledger per iteration.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +50,6 @@ class GroverInstance:
 @dataclass
 class QueryLedger:
     oracle_queries: int = 0
-    notes: dict = field(default_factory=dict)
 
     def charge(self, n=1):
         if n < 0:
@@ -97,9 +96,9 @@ def grover_sample(predicate, n_items, seed, iterations=None, marked=None):
     iterations each marked item has probability sin^2((2R+1)theta) / M
     and each other item the rest over N - M, with sin^2(theta) = M/N.
     grover_run_statevector is the reference it is tested against.  When
-    marked is not given it is collected by a classical predicate scan.
-    Both cases charge N classical evaluations to the ledger's notes (not
-    to the quantum query count).
+    marked is not given it is collected by a classical predicate scan;
+    the ledger counts only the R oracle queries, and a caller that swept
+    the predicate classically charges that sweep itself.
 
     Returns (index, ledger).  The caller verifies the sample classically.
     """
@@ -114,6 +113,5 @@ def grover_sample(predicate, n_items, seed, iterations=None, marked=None):
     p_hit = grover_success_prob(n_items, m, iterations)
     probs = np.full(n_items, (1 - p_hit) / max(n_items - m, 1))
     probs[marked] = p_hit / m
-    ledger = QueryLedger(oracle_queries=iterations,
-                         notes={"classical_evals": n_items})
-    return int(rng.choice(n_items, p=probs / probs.sum())), ledger
+    return (int(rng.choice(n_items, p=probs / probs.sum())),
+            QueryLedger(oracle_queries=iterations))

@@ -24,7 +24,7 @@ so states are stored as float64 vectors.
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -285,14 +285,17 @@ class CollapsedWalkSim:
         self.norm_log.append(self.norm())
         self.ledger.charge(2)
 
+    def outer_rep(self):
+        """One phase flip followed by t1 and t2 walk steps."""
+        self.phase_flip()
+        for _ in range(self.params.t1):
+            self.walk_step(1)
+        for _ in range(self.params.t2):
+            self.walk_step(2)
+
     def run(self):
-        p = self.params
-        for _ in range(p.outer_reps):
-            self.phase_flip()
-            for _ in range(p.t1):
-                self.walk_step(1)
-            for _ in range(p.t2):
-                self.walk_step(2)
+        for _ in range(self.params.outer_reps):
+            self.outer_rep()
         return self.success_prob()
 
     def success_prob(self):
@@ -323,15 +326,18 @@ def tune_outer_reps(n_side, params, max_multiplier=3):
     success probability within [1, max_multiplier * base].
 
     The search constant in the outer Theta(.) is unspecified, so the
-    cheap 9-state simulation is scanned to choose it.
+    cheap 9-state simulation is scanned to choose it: one run records the
+    success probability after every repetition, and the first maximum
+    wins.  A run of k repetitions applies the same floating-point
+    operations as the first k repetitions of a longer one.
     """
-    best = (-1.0, params.outer_reps)
-    for outer in range(1, max_multiplier * params.outer_reps + 1):
-        trial = WalkParams(params.r1, params.r2, params.t1, params.t2, outer)
-        p = CollapsedWalkSim(n_side, trial).run()
-        if p > best[0]:
-            best = (p, outer)
-    return WalkParams(params.r1, params.r2, params.t1, params.t2, best[1])
+    sim = CollapsedWalkSim(n_side, params)
+    probs = []
+    for _ in range(max_multiplier * params.outer_reps):
+        sim.outer_rep()
+        probs.append(sim.success_prob())
+    best = probs.index(max(probs)) + 1 if probs else params.outer_reps
+    return replace(params, outer_reps=best)
 
 
 def claw_walk_run(problem, params=None, mode="collapsed", claws=None,
@@ -368,16 +374,18 @@ def claw_walk_run(problem, params=None, mode="collapsed", claws=None,
 
 
 def claw_walk_sample(problem, seed, mode="collapsed", params=None,
-                     max_retries=400, tune=True):
+                     max_retries=400, tune=True, claws=None):
     """Sample the walk until the measured subsets contain a claw.
 
     Returns a WalkResult whose claw is the sampled pair (or None when
     retries are exhausted or no claw exists); the ledger accumulates the
     queries of every attempt.  The sampled claw is classically verified
-    against the exhaustive claw set.
+    against the claw census: claws, the complete claw set in ascending
+    (x1, x2) order, when the caller has one (the attack hands over its
+    sort-and-match result), else the exhaustive scan's.
     """
     rng = np.random.default_rng(seed)
-    all_claws = find_claws_exhaustive(problem)
+    all_claws = find_claws_exhaustive(problem) if claws is None else claws
     if not all_claws:
         params = params or walk_params(problem.n_side, problem.n_side)
         return WalkResult(0.0, None, QueryLedger(), params, mode, 0.0,

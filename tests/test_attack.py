@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from clawbench import vectors
+from clawbench import attack, vectors
 from clawbench.attack import (AttackError, ChosenPairSet, build_claw_problem,
                               diff_f, diff_g, family_member, k1k3_constant,
                               k3_check_paper, k4_check, k5_check,
@@ -210,6 +210,78 @@ def test_resolve_without_extra_pair_reports_family():
     assert k3 == vectors.K1_XOR_K3
 
 
+def six_round_survivors(c_star, k2_prime, pair_set, spec, k456):
+    """Reference resolve sweep: every K1 whose family member encrypts the
+    extra pair through all six rounds."""
+    (l1, r1), ct = pair_set.extra_pair
+    xs = np.arange(1 << spec.word_width, dtype=np.uint32)
+    c = pair_set.constant_c
+    keys = [xs, spec.round_f(2, xs ^ c) ^ k2_prime, xs ^ c_star, *k456]
+    left, right = np.full_like(xs, l1), np.full_like(xs, r1)
+    for i, k in enumerate(keys, start=1):
+        left, right = right ^ spec.round_f(i, left) ^ k, left
+    return [int(x) for x in np.nonzero((left == ct[0]) & (right == ct[1]))[0]]
+
+
+def resolve_calls(monkeypatch, pair_set, spec):
+    """(tuple, survivors) for every resolve call of the classical attack;
+    survivors is [] when the O(1) filter rejects the tuple."""
+    calls = []
+    search, resolve = attack._search_candidates, attack.resolve_k1_k2_k3
+
+    def recording_resolve(c_star, k2_prime, pair_set, spec, k456, *rest):
+        survivors = []
+        calls.append(((c_star, k2_prime, k456), survivors))
+
+        def recording_search(*args):
+            out = search(*args)
+            survivors.extend(out[0])
+            return out
+
+        attack._search_candidates = recording_search
+        try:
+            return resolve(c_star, k2_prime, pair_set, spec, k456, *rest)
+        finally:
+            attack._search_candidates = search
+
+    with monkeypatch.context() as patch:
+        patch.setattr(attack, "resolve_k1_k2_k3", recording_resolve)
+        run_asr_attack(pair_set, spec)
+    return calls
+
+
+def resolve_instances():
+    yield vectors.SPEC, paper_pair_set(with_extra=True)
+    for seed in range(10):
+        spec = FeistelSpec(word_width=8)
+        yield spec, make_pair_set(spec, random_subkeys(spec, seed), seed)
+    for seed in range(5):
+        spec = FeistelSpec(word_width=12, round_function="random", seed=seed)
+        yield spec, make_pair_set(spec, random_subkeys(spec, seed), seed)
+
+
+def test_resolve_survivors_equal_the_six_round_sweep(monkeypatch):
+    rejected = passed = 0
+    for spec, pair_set in resolve_instances():
+        calls = resolve_calls(monkeypatch, pair_set, spec)
+        assert calls
+        for (c_star, k2_prime, k456), survivors in calls:
+            assert survivors == six_round_survivors(
+                c_star, k2_prime, pair_set, spec, k456), (spec, k456)
+            rejected += not survivors
+            passed += bool(survivors)
+    print(f"resolve: {passed} tuples passed the filter, {rejected} rejected")
+    assert rejected > 0 and passed > 0
+
+
+def test_classical_evals_do_not_depend_on_grover_misses():
+    spec = FeistelSpec(word_width=8)
+    pair_set = make_pair_set(spec, random_subkeys(spec, 1), 1)
+    evals = {backend: run_asr_attack(pair_set, spec, backends=backend)[1]
+             .classical_evals for backend in ("classical", "walk-sim")}
+    assert evals["classical"] == evals["walk-sim"]
+
+
 def test_full_attack_paper_vectors_with_extra_pair():
     recovered, stats, stages = run_asr_attack(paper_pair_set(with_extra=True),
                                               vectors.SPEC)
@@ -279,6 +351,11 @@ def test_corrupted_ciphertext_rejected():
     bad = ChosenPairSet(vectors.CONSTANT_C, tuple(pairs), vectors.EXTRA_PAIR)
     with pytest.raises(AttackError):
         run_asr_attack(bad, spec)
+
+
+def test_unknown_backend_name_rejected():
+    with pytest.raises(ValueError, match="unknown backend"):
+        run_asr_attack(paper_pair_set(), vectors.SPEC, backends="grover")
 
 
 def test_wrong_round_count_rejected():

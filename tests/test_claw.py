@@ -60,7 +60,9 @@ def test_sorted_matches_exhaustive_on_random_instances():
         problem = table_problem([f_tab], [g_tab], 8, 8)
         claws, evals = find_claws_sorted(problem)
         assert evals == 512
-        assert set(claws) == set(find_claws_exhaustive(problem))
+        # the same list as the pairwise scan in (value, x1, x2) order
+        assert claws == sorted(find_claws_exhaustive(problem),
+                               key=lambda c: (f_tab[c[0]], *c))
 
 
 def test_capacity_guards():

@@ -170,6 +170,17 @@ def test_sim_clawwalk_full_matches_collapsed_success(capsys):
     assert p_f == pytest.approx(p_c, abs=1e-10)
 
 
+def test_sim_clawwalk_refuses_bits_before_building_tables(capsys,
+                                                          monkeypatch):
+    def refuse(*args):
+        raise AssertionError("planted tables built before the guard")
+
+    monkeypatch.setattr("clawbench.cli.planted_claw_problem", refuse)
+    code, _, err = run_cli(capsys, "sim-clawwalk", "--bits", "13")
+    assert code == 4
+    assert "u=13 > 12" in err
+
+
 def test_scaling_csv(capsys):
     code, out, _ = run_cli(capsys, "scaling", "--min-exp", "6",
                            "--max-exp", "8")

@@ -1,14 +1,18 @@
 """Attack reports stay byte-identical: SHA-256 of the JSON that
-`clawbench attack run ARGS --out FILE` writes, pinned per ARGS.
+`clawbench attack run ARGS --out FILE` writes, pinned per ARGS, and of
+API-built reports on random round functions, pinned per case.
 
 A change that alters any of these digests changed a report; if that is
 intended, record why in CHANGES.md and update the digest.
 """
 
 import hashlib
+import json
 
 import pytest
 
+from clawbench.attack import attack_report, make_pair_set, run_asr_attack
+from clawbench.cipher import FeistelSpec, random_subkeys
 from clawbench.cli import main
 
 DIGESTS = {
@@ -84,3 +88,57 @@ def test_report_digest(tmp_path, args):
     out = tmp_path / "report.json"
     assert main(["attack", "run", *args.split(), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS[args]
+
+
+# random round functions, run_asr_attack(seed=0) on
+# make_pair_set(spec, random_subkeys(spec, s), s): width 3 walk-full has
+# 2-5 claws per instance, so the digest pins the order of the claw census
+# the walk samples from; width 12 walk-sim covers the walk (seeds 0, 2-4)
+# and the not-unique fallback (seed 1)
+API_DIGESTS = {
+    (3, 0, "walk-full"):
+        "52c9515cb844032f335ce4e1bdd3849d1c3f6ea73143811c45c11c139c18b42c",
+    (3, 1, "walk-full"):
+        "69a8d53f417f503b2955e762d6ab974aa691448c63a73e96e7aeca18831ee8ea",
+    (3, 2, "walk-full"):
+        "c2cfb839a341df1ae9f228152826d2db5b37d6db8ba4a8a8315372b55ab77f20",
+    (3, 3, "walk-full"):
+        "7edd01483ba29a06d8889630c5d93456225fc5d3d7cc087a950f694a5aada4ab",
+    (3, 4, "walk-full"):
+        "b46644f125a59b6d43f3d529bafdf301c27b54d838b7d56ed685c8f5181b0299",
+    (12, 0, "walk-sim"):
+        "670a942f0f1cd907d4ef00753048ddc6ea3e43b7fb40fd47c5aa6c956cb225da",
+    (12, 1, "walk-sim"):
+        "682741b97c6b172f531ec3d27160b399928eeca375e59c9064a4800268163951",
+    (12, 2, "walk-sim"):
+        "413342b622dc2db02ddd6e6ce27666d74e2b27d8172fee443c9fe3dcae685f7a",
+    (12, 3, "walk-sim"):
+        "c43990f4e4db3457b84ff6e31ba8daa46fe4ec6690568a18450fbb881e4d9604",
+    (12, 4, "walk-sim"):
+        "64f54f5f07868e2327cc283dcee39db7b84c513d56d0991c49b987c91ab8ee10",
+}
+
+
+@pytest.mark.parametrize("width,seed,backend", API_DIGESTS)
+def test_api_report_digest(width, seed, backend):
+    spec = FeistelSpec(word_width=width, round_function="random", seed=seed)
+    pair_set = make_pair_set(spec, random_subkeys(spec, seed), seed)
+    recovered, stats, stages = run_asr_attack(pair_set, spec,
+                                              backends=backend)
+    text = json.dumps(attack_report(pair_set, spec, recovered, stats, stages,
+                                    backend), indent=2, sort_keys=True)
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == API_DIGESTS[width, seed, backend])
+
+
+def test_paper_vectors_walk_sim_fall_back_to_the_sorted_census(tmp_path):
+    """256 claws: the collapsed walk needs a unique claw, so the claw
+    stage reports the sorted census it already has."""
+    out = tmp_path / "report.json"
+    assert main(["attack", "run", "--vectors", "paper", "--backend",
+                 "walk-sim", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["verified"] is True
+    claw_stage = report["stages"][0]
+    assert claw_stage["backend"] == "walk-collapsed->sorted (claw not unique)"
+    assert len(claw_stage["result_hex"]) == 256

@@ -102,6 +102,20 @@ def test_tuned_outer_reps_beat_baseline_at_n256():
     assert prob == pytest.approx(0.06342090659555644, abs=1e-9)
 
 
+def test_tuning_from_one_run_equals_per_count_resimulation():
+    for u in range(3, 13):
+        n = 1 << u
+        for multiplier in (0.5, 1, 2):
+            params = walk_params(n, n, multiplier)
+            # reference: a fresh simulation for every candidate count
+            probs = [CollapsedWalkSim(n, WalkParams(
+                params.r1, params.r2, params.t1, params.t2, outer)).run()
+                for outer in range(1, 3 * params.outer_reps + 1)]
+            want = probs.index(max(probs)) + 1
+            assert tune_outer_reps(n, params).outer_reps == want, \
+                (n, multiplier)
+
+
 def test_claw_walk_run_modes_agree():
     problem = planted_problem(3, claw_at=(5, 2))
     rc = claw_walk_run(problem, mode="collapsed")
