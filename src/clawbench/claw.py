@@ -70,19 +70,20 @@ def side_table(problem, side):
 EXHAUSTIVE_MAX_BITS = 12
 
 
-def check_exhaustive_bits(u, max_bits=EXHAUSTIVE_MAX_BITS):
+def check_exhaustive_bits(u):
     """Refuse an exhaustive census over 2^u x 2^u pairs beyond the guard."""
-    if u > max_bits:
-        raise CapacityError(f"exhaustive scan refused for u={u} > {max_bits}")
+    if u > EXHAUSTIVE_MAX_BITS:
+        raise CapacityError(
+            f"exhaustive scan refused for u={u} > {EXHAUSTIVE_MAX_BITS}")
 
 
-def find_claws_exhaustive(problem, max_bits=EXHAUSTIVE_MAX_BITS):
+def find_claws_exhaustive(problem):
     """All claws by full pairwise scan, ascending (x1, x2) order.
 
     The ground-truth oracle: every (x1, x2) pair is compared directly,
     independent of the sorted-match search path.
     """
-    check_exhaustive_bits(problem.domain_bits, max_bits)
+    check_exhaustive_bits(problem.domain_bits)
     f_tab = side_table(problem, 0)
     g_tab = side_table(problem, 1)
     eq = f_tab[:, None] == g_tab[None, :]
