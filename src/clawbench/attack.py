@@ -210,6 +210,15 @@ class QueryStats:
     grover_queries: dict = field(default_factory=dict)
     classical_evals: dict = field(default_factory=dict)
     walk_success_prob: float | None = None
+    last_call: dict = field(default_factory=dict)
+
+    def charge(self, stage, queries, evals):
+        """Add one search call to the stage totals; last_call keeps the
+        call's report figure, its quantum queries or else evaluations."""
+        for totals, n in ((self.grover_queries, queries),
+                          (self.classical_evals, evals)):
+            totals[stage] = totals.get(stage, 0) + n
+        self.last_call[stage] = queries or evals
 
 
 def _search_candidates(predicate, spec, backend, seed, retry_bound):
@@ -345,8 +354,7 @@ def resolve_k1_k2_k3(c_star, k2_prime, pair_set, spec, k456, backend,
     cands, q, evals = _search_candidates(
         lambda xs: spec.round_f(2, xs ^ a) ^ spec.round_f(2, xs ^ c) == target,
         spec, backend, seed, retry_bound)
-    stats.grover_queries["resolve-k1"] = q
-    stats.classical_evals["resolve-k1"] = evals
+    stats.charge("resolve-k1", q, evals)
     if not cands:
         raise AttackError("no K1 satisfies the extra pair; upstream keys wrong")
     uniqueness = "unique"
@@ -399,8 +407,7 @@ def run_asr_attack(pair_set, spec, backends="classical", seed=0,
         k5s, q5, e5 = _search_candidates(
             lambda xs: _peel_match((xs, k6), l1_diffs, pair_set, spec),
             spec, backends["search"], seed + 1, retry_bound)
-        stats.grover_queries["k5"] = stats.grover_queries.get("k5", 0) + q5
-        stats.classical_evals["k5"] = stats.classical_evals.get("k5", 0) + e5
+        stats.charge("k5", q5, e5)
         for k5 in k5s:
             try:
                 c_star = k1k3_constant(pair_set, k2_prime, k5, k6, spec)
@@ -410,8 +417,7 @@ def run_asr_attack(pair_set, spec, backends="classical", seed=0,
                 lambda xs: _peel_match((xs, k5, k6), (0, 0), pair_set,
                                        spec),
                 spec, backends["search"], seed + 2, retry_bound)
-            stats.grover_queries["k4"] = stats.grover_queries.get("k4", 0) + q4
-            stats.classical_evals["k4"] = stats.classical_evals.get("k4", 0) + e4
+            stats.charge("k4", q4, e4)
             for k4 in k4s:
                 try:
                     (k1, k2, k3), uniqueness = resolve_k1_k2_k3(
@@ -434,8 +440,7 @@ def run_asr_attack(pair_set, spec, backends="classical", seed=0,
                                    "backend": backends["search"]
                                    if pair_set.extra_pair else "family",
                                    "queries":
-                                   stats.grover_queries.get("resolve-k1", 0)
-                                   or stats.classical_evals.get("resolve-k1", 0),
+                                   stats.last_call.get("resolve-k1", 0),
                                    "result_hex": [word_to_hex(x, w)
                                                   for x in (k1, k2, k3)]})
                     recovered = RecoveredKeys(keys, k2_prime, c_star,

@@ -10,8 +10,10 @@ r per side.
 
 Two exact simulators are provided:
 
-* FullWalkSim enumerates every basis state (S, z) per side and applies
-  the four sub-operators as explicit matrices.  Exponential, guarded.
+* FullWalkSim enumerates every basis state (S, z) per side.  Ordered by
+  S and then z, the two diffusions are reflections about the mean of
+  consecutive groups and the two queries are index permutations, so a
+  step costs O(dim^2) on the dim x dim state.  Exponential, guarded.
 * CollapsedWalkSim tracks only the three per-side symmetry classes of a
   unique planted claw index j: A (j in S), B (j not in S, z == j),
   C (j not in S, z != j).  The walk dynamics close on class-uniform
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .claw import CapacityError, ClawProblem, find_claws_exhaustive
+from .claw import CapacityError, find_claws_exhaustive
 from .grover import QueryLedger
 
 FULL_BASIS_GUARD = 10_000_000
@@ -84,51 +86,42 @@ def ledger_law(params):
 # full-basis simulator
 
 
+def check_full_basis(n_side, r):
+    """Refuse a full-basis state of dim x dim amplitudes beyond the guard,
+    dim = C(N, r) (N - r); the size is stated as a power of two."""
+    dim = math.comb(n_side, r) * (n_side - r)
+    if dim * dim > FULL_BASIS_GUARD:
+        raise CapacityError(
+            f"full walk state of 2^{2 * math.log2(dim):.1f} amplitudes "
+            f"exceeds guard 2^{math.log2(FULL_BASIS_GUARD):.1f}")
+
+
 def _side_operators(n_side, r):
-    """The four sub-operators of one walk step as dense matrices.
+    """One side's basis and the two queries of a walk step as gathers.
 
-    Basis: (S, z) with |S| = r, z outside S; the insert step passes
-    through the intermediate basis (S', z) with |S'| = r + 1, z in S'.
-    Both spaces have dimension C(n,r) (n-r) and the queries are basis
-    permutations between them, so every matrix is square.
+    Basis: (S, z) with |S| = r, z outside S, ordered by S and then z.
+    The intermediate basis (S', z) with |S'| = r + 1, z in S', is ordered
+    the same way and has the same size C(N, r) (N - r).  Returns
+    (basis, insert, remove): gathering with insert maps the state into
+    the intermediate basis, (S, z) -> (S + {z}, z), and remove maps it
+    back, (S', z) -> (S' - {z}, z), so the two are inverse permutations.
     """
-    basis = []
-    for subset in itertools.combinations(range(n_side), r):
-        inside = set(subset)
-        basis.extend((subset, z) for z in range(n_side) if z not in inside)
+    basis = [(s, z) for s in itertools.combinations(range(n_side), r)
+             for z in range(n_side) if z not in s]
     index = {b: i for i, b in enumerate(basis)}
+    insert = np.array([index[tuple(x for x in s if x != z), z]
+                       for s in itertools.combinations(range(n_side), r + 1)
+                       for z in s])
+    return basis, insert, np.argsort(insert)
 
-    ibasis = []
-    for subset in itertools.combinations(range(n_side), r + 1):
-        ibasis.extend((subset, z) for z in subset)
-    iindex = {b: i for i, b in enumerate(ibasis)}
 
-    dim = len(basis)
-    if len(ibasis) != dim:
-        raise AssertionError("insert step must be a bijection")
-
-    diff_out = np.zeros((dim, dim))      # diffusion over z in A - S
-    insert = np.zeros((dim, dim))        # query: S -> S + {z}
-    diff_in = np.zeros((dim, dim))       # diffusion over z in S'
-    remove = np.zeros((dim, dim))        # query: S' -> S' - {z}
-
-    for (subset, z), i in index.items():
-        inside = set(subset)
-        outside = [x for x in range(n_side) if x not in inside]
-        k = len(outside)
-        for z2 in outside:
-            diff_out[index[(subset, z2)], i] = 2 / k - (1 if z2 == z else 0)
-        grown = tuple(sorted(subset + (z,)))
-        insert[iindex[(grown, z)], i] = 1
-
-    for (subset, z), i in iindex.items():
-        k = len(subset)
-        for z2 in subset:
-            diff_in[iindex[(subset, z2)], i] = 2 / k - (1 if z2 == z else 0)
-        shrunk = tuple(x for x in subset if x != z)
-        remove[index[(shrunk, z)], i] = 1
-
-    return basis, (diff_out, insert, diff_in, remove)
+def _reflect(state, axis, k):
+    """Diffusion 2 mean - x over consecutive groups of k entries along axis:
+    the reflection about the uniform superposition of each group."""
+    shape = state.shape
+    groups = state.reshape(shape[:axis] + (-1, k) + shape[axis + 1:])
+    mean = groups.mean(axis=axis + 1, keepdims=True)
+    return (2 * mean - groups).reshape(shape)
 
 
 class FullWalkSim:
@@ -147,12 +140,8 @@ class FullWalkSim:
         r = params.r1
         if not (1 <= r < n_side):
             raise ValueError(f"need 1 <= r < N, got r={r}, N={n_side}")
-        dim = math.comb(n_side, r) * (n_side - r)
-        if dim * dim > FULL_BASIS_GUARD:
-            raise CapacityError(
-                f"full walk basis {dim}^2 exceeds guard {FULL_BASIS_GUARD}")
-        self.basis, self.sub_ops = _side_operators(n_side, r)
-        self.step_op = None
+        check_full_basis(n_side, r)
+        self.basis, self.insert, self.remove = _side_operators(n_side, r)
         dimension = len(self.basis)
         self.state = np.full((dimension, dimension), 1 / dimension)
         self.ledger = QueryLedger()
@@ -161,12 +150,11 @@ class FullWalkSim:
 
         self.mark = np.zeros((dimension, dimension), dtype=bool)
         for j1, j2 in claws:
-            in1 = np.fromiter((j1 in set(s) for s, _ in self.basis),
+            in1 = np.fromiter((j1 in s for s, _ in self.basis),
                               bool, dimension)
-            in2 = np.fromiter((j2 in set(s) for s, _ in self.basis),
+            in2 = np.fromiter((j2 in s for s, _ in self.basis),
                               bool, dimension)
             self.mark |= np.outer(in1, in2)
-        self.claws = list(claws)
 
     def norm(self):
         return float(np.linalg.norm(self.state))
@@ -178,26 +166,24 @@ class FullWalkSim:
     def walk_step(self, side, fine=True):
         """One walk step on one side (1 or 2); charges two queries.
 
-        fine=True applies the four sub-operators separately (logging the
-        norm after each); fine=False uses the precomposed step matrix.
+        The four sub-operators act on the state's axis side - 1: the
+        diffusion over z outside S (groups of N - r entries share S), the
+        insert query, the diffusion over z in S' (groups of r + 1) and
+        the remove query.  fine=True logs the norm after each
+        sub-operator, fine=False once per step; the state is the same.
         """
-        if fine:
-            for op in self.sub_ops:
-                self._apply(side, op)
+        axis = side - 1
+        r = self.params.r1
+        for op in (lambda s: _reflect(s, axis, self.n_side - r),
+                   lambda s: s.take(self.insert, axis),
+                   lambda s: _reflect(s, axis, r + 1),
+                   lambda s: s.take(self.remove, axis)):
+            self.state = op(self.state)
+            if fine:
                 self.norm_log.append(self.norm())
-        else:
-            if self.step_op is None:
-                d_out, ins, d_in, rem = self.sub_ops
-                self.step_op = rem @ d_in @ ins @ d_out
-            self._apply(side, self.step_op)
+        if not fine:
             self.norm_log.append(self.norm())
         self.ledger.charge(2)
-
-    def _apply(self, side, op):
-        if side == 1:
-            self.state = op @ self.state
-        else:
-            self.state = self.state @ op.T
 
     def run(self, fine=True):
         p = self.params
@@ -340,6 +326,27 @@ def tune_outer_reps(n_side, params, max_multiplier=3):
     return replace(params, outer_reps=best)
 
 
+def _run_walk(n, params, mode, claws, tune):
+    """Build and run mode's simulator on a nonempty claw census.
+
+    Every refusal comes before tuning: collapsed mode needs a unique
+    claw, full mode a basis within the guard.
+    """
+    if mode == "collapsed" and len(claws) != 1:
+        raise UniqueClawRequired(
+            f"collapsed mode needs a unique claw, found {len(claws)}")
+    if mode not in ("collapsed", "full"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "full":
+        check_full_basis(n, params.r1)
+    if tune:
+        params = tune_outer_reps(n, params)
+    sim = (CollapsedWalkSim(n, params) if mode == "collapsed"
+           else FullWalkSim(n, params, claws))
+    sim.run()
+    return sim
+
+
 def claw_walk_run(problem, params=None, mode="collapsed", claws=None,
                   tune=False):
     """Run the walk on a claw problem; returns a WalkResult with the exact
@@ -353,24 +360,11 @@ def claw_walk_run(problem, params=None, mode="collapsed", claws=None,
         params = walk_params(n, n)
     if claws is None:
         claws = find_claws_exhaustive(problem)
-    if mode == "collapsed" and len(claws) != 1:
-        raise UniqueClawRequired(
-            f"collapsed mode needs a unique claw, found {len(claws)}")
-    if tune:
-        params = tune_outer_reps(n, params)
-    if mode == "collapsed":
-        sim = CollapsedWalkSim(n, params)
-        prob = sim.run()
-        return WalkResult(prob, claws[0], sim.ledger, params, mode,
-                          sim.norm_drift(), all_claws=list(claws))
-    if mode == "full":
-        if not claws:
-            return WalkResult(0.0, None, QueryLedger(), params, mode, 0.0)
-        sim = FullWalkSim(n, params, claws)
-        prob = sim.run(fine=(n <= 8))
-        return WalkResult(prob, claws[0], sim.ledger, params, mode,
-                          sim.norm_drift(), all_claws=list(claws))
-    raise ValueError(f"unknown mode {mode!r}")
+    if mode == "full" and not claws:
+        return WalkResult(0.0, None, QueryLedger(), params, mode, 0.0)
+    sim = _run_walk(n, params, mode, claws, tune)
+    return WalkResult(sim.success_prob(), claws[0], sim.ledger, sim.params,
+                      mode, sim.norm_drift(), all_claws=list(claws))
 
 
 def claw_walk_sample(problem, seed, mode="collapsed", params=None,
@@ -382,33 +376,30 @@ def claw_walk_sample(problem, seed, mode="collapsed", params=None,
     queries of every attempt.  The sampled claw is classically verified
     against the claw census: claws, the complete claw set in ascending
     (x1, x2) order, when the caller has one (the attack hands over its
-    sort-and-match result), else the exhaustive scan's.
+    sort-and-match result), else the exhaustive scan's.  The walk is
+    simulated once; every attempt measures that final state.
     """
     rng = np.random.default_rng(seed)
+    n = problem.n_side
+    params = params or walk_params(n, n)
     all_claws = find_claws_exhaustive(problem) if claws is None else claws
     if not all_claws:
-        params = params or walk_params(problem.n_side, problem.n_side)
         return WalkResult(0.0, None, QueryLedger(), params, mode, 0.0,
                           all_claws=[])
-    base = claw_walk_run(problem, params, mode, claws=all_claws, tune=tune)
-    full_sim = None
-    if mode == "full":
-        full_sim = FullWalkSim(problem.n_side, base.params, all_claws)
-        full_sim.run(fine=False)
+    sim = _run_walk(n, params, mode, all_claws, tune)
+    prob = sim.success_prob()
     total = QueryLedger()
     for attempt in range(1, max_retries + 1):
-        total.charge(base.ledger.oracle_queries)
+        total.charge(sim.ledger.oracle_queries)
         if mode == "collapsed":
-            hit = rng.random() < base.success_prob
-            found = base.claw if hit else None
+            found = all_claws[0] if rng.random() < prob else None
         else:
-            s1, s2 = full_sim.sample(rng)
+            s1, s2 = sim.sample(rng)
             found = next(((a, b) for a, b in all_claws
                           if a in s1 and b in s2), None)
-        if found is not None and found in all_claws:
-            return WalkResult(base.success_prob, found, total, base.params,
-                              mode, base.norm_drift, retries=attempt,
+        if found is not None:
+            return WalkResult(prob, found, total, sim.params, mode,
+                              sim.norm_drift(), retries=attempt,
                               all_claws=all_claws)
-    return WalkResult(base.success_prob, None, total, base.params, mode,
-                      base.norm_drift, retries=max_retries,
-                      all_claws=all_claws)
+    return WalkResult(prob, None, total, sim.params, mode, sim.norm_drift(),
+                      retries=max_retries, all_claws=all_claws)

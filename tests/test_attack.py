@@ -282,6 +282,30 @@ def test_classical_evals_do_not_depend_on_grover_misses():
     assert evals["classical"] == evals["walk-sim"]
 
 
+def test_resolve_ledger_adds_every_sweep(monkeypatch):
+    """Simeck w=8 seed 13: 9 tuples pass resolve's filter and sweep K1;
+    the ledger charges all 9, the report's resolve stage the one that
+    verified."""
+    spec = FeistelSpec(word_width=8)
+    pair_set = make_pair_set(spec, random_subkeys(spec, 13), 13)
+    search, resolve = attack._search_candidates, attack.resolve_k1_k2_k3
+    sweeps = []
+
+    def sweeping_resolve(*args):
+        attack._search_candidates = lambda *a: sweeps.append(a) or search(*a)
+        try:
+            return resolve(*args)
+        finally:
+            attack._search_candidates = search
+
+    monkeypatch.setattr(attack, "resolve_k1_k2_k3", sweeping_resolve)
+    _, stats, stages = run_asr_attack(pair_set, spec)
+    assert len(sweeps) == 9
+    assert stats.classical_evals["resolve-k1"] == 9 * 256
+    assert stages[-1]["name"] == "resolve-k1-k2-k3"
+    assert stages[-1]["queries"] == 256
+
+
 def test_full_attack_paper_vectors_with_extra_pair():
     recovered, stats, stages = run_asr_attack(paper_pair_set(with_extra=True),
                                               vectors.SPEC)

@@ -181,6 +181,14 @@ def test_sim_clawwalk_refuses_bits_before_building_tables(capsys,
     assert "u=13 > 12" in err
 
 
+def test_attack_walk_full_refuses_basis_before_tuning(capsys, monkeypatch):
+    monkeypatch.setattr("clawbench.walk.tune_outer_reps", None)
+    code, _, err = run_cli(capsys, "attack", "run", "--vectors", "paper",
+                           "--backend", "walk-full")
+    assert code == 4
+    assert len(err.encode()) < 200
+
+
 def test_scaling_csv(capsys):
     code, out, _ = run_cli(capsys, "scaling", "--min-exp", "6",
                            "--max-exp", "8")

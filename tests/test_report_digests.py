@@ -97,15 +97,15 @@ def test_report_digest(tmp_path, args):
 # and the not-unique fallback (seed 1)
 API_DIGESTS = {
     (3, 0, "walk-full"):
-        "52c9515cb844032f335ce4e1bdd3849d1c3f6ea73143811c45c11c139c18b42c",
+        "afe5660deb60354e25ddd691f7f258134c63443bd53ed2a4ccda266a007b01f7",
     (3, 1, "walk-full"):
-        "69a8d53f417f503b2955e762d6ab974aa691448c63a73e96e7aeca18831ee8ea",
+        "13f5097e6ad73b38baa7400a2249b782738b772368abafcb43ae1638e7ffb9ac",
     (3, 2, "walk-full"):
-        "c2cfb839a341df1ae9f228152826d2db5b37d6db8ba4a8a8315372b55ab77f20",
+        "a099c7d06b3972283b230bf92f378fe2efafc15fef59a484554e6109aa3ea4f8",
     (3, 3, "walk-full"):
-        "7edd01483ba29a06d8889630c5d93456225fc5d3d7cc087a950f694a5aada4ab",
+        "bb16d6ed547dc57e9ec02c180aaa8060203727d4a6e475dc3cfc0f12d6b2681c",
     (3, 4, "walk-full"):
-        "b46644f125a59b6d43f3d529bafdf301c27b54d838b7d56ed685c8f5181b0299",
+        "20a253288758c5604a9c8245ee8d62a192227e2edfa93eff414ef65efefaa343",
     (12, 0, "walk-sim"):
         "670a942f0f1cd907d4ef00753048ddc6ea3e43b7fb40fd47c5aa6c956cb225da",
     (12, 1, "walk-sim"):

@@ -1,22 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clawbench.claw import CapacityError, ClawProblem
+from clawbench.cli import planted_claw_problem
 from clawbench.walk import (CollapsedWalkSim, FullWalkSim, UniqueClawRequired,
-                            WalkParams, _collapsed_step_matrix,
+                            WalkParams, _collapsed_step_matrix, _reflect,
                             _side_operators, claw_walk_run, claw_walk_sample,
                             ledger_law, tune_outer_reps, walk_params)
-
-
-def planted_problem(domain_bits, claw_at=(0, 0)):
-    """Single-equation problem whose only claw is claw_at."""
-    n = 1 << domain_bits
-    f_tab = np.arange(n, dtype=np.uint32) * 2            # even values
-    g_tab = np.arange(n, dtype=np.uint32) * 2 + 1        # odd values
-    g_tab[claw_at[1]] = f_tab[claw_at[0]]
-    return ClawProblem(domain_bits=domain_bits, range_bits=domain_bits + 1,
-                       f_family=(lambda x: f_tab[x],),
-                       g_family=(lambda x: g_tab[x],))
 
 
 def test_walk_params_balanced():
@@ -36,13 +29,36 @@ def test_ledger_law():
 
 
 def test_full_side_operators_are_orthogonal():
-    _, (d_out, ins, d_in, rem) = _side_operators(6, 2)
-    eye = np.eye(d_out.shape[0])
+    n_side, r = 6, 2
+    basis, insert, remove = _side_operators(n_side, r)
+    eye = np.eye(len(basis))
+    # each sub-operator applied to the identity along axis 0
+    d_out = _reflect(eye, 0, n_side - r)
+    ins = eye.take(insert, 0)
+    d_in = _reflect(eye, 0, r + 1)
+    rem = eye.take(remove, 0)
     # the two diffusions are reflections, the two queries permutations
     assert np.allclose(d_out @ d_out, eye, atol=1e-12)
     assert np.allclose(d_in @ d_in, eye, atol=1e-12)
     assert np.allclose(ins @ ins.T, eye, atol=1e-12)
     assert np.allclose(rem @ rem.T, eye, atol=1e-12)
+
+
+def test_full_sub_operators_match_their_definition():
+    n_side, r = 6, 2
+    basis, insert, remove = _side_operators(n_side, r)
+    grown = [(s, z) for s in itertools.combinations(range(n_side), r + 1)
+             for z in s]
+    eye = np.eye(len(basis))
+    # each diffusion mixes the states that share their subset
+    for states, k in ((basis, n_side - r), (grown, r + 1)):
+        same = np.array([[a[0] == b[0] for b in states] for a in states])
+        assert np.allclose(_reflect(eye, 0, k), same * 2 / k - eye,
+                           atol=1e-15)
+    # insert gathers (S, z) into (S + {z}, z); remove gathers it back
+    for i, (s, z) in enumerate(basis):
+        j = grown.index((tuple(sorted(s + (z,))), z))
+        assert insert[j] == i and remove[i] == j
 
 
 def test_collapsed_step_is_orthogonal():
@@ -70,6 +86,28 @@ def test_full_vs_collapsed_agree():
         assert p_full == pytest.approx(p_collapsed, abs=1e-10)
         assert collapsed.norm_drift() < 1e-12
         assert full.norm_drift() < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_side=st.integers(4, 9), multiplier=st.sampled_from((0.5, 1, 2)),
+       data=st.data())
+def test_full_walk_matches_collapsed_and_fine_is_only_logging(
+        n_side, multiplier, data):
+    params = walk_params(n_side, n_side, multiplier)
+    side = st.integers(0, n_side - 1)
+    claw = data.draw(st.tuples(side, side))
+    full = FullWalkSim(n_side, params, [claw])
+    collapsed = CollapsedWalkSim(n_side, params)
+    assert abs(full.run() - collapsed.run()) <= 1e-10
+    assert full.norm_drift() < 1e-12
+    # fine only sets how often the norm is logged
+    claws = data.draw(st.lists(st.tuples(side, side), min_size=1,
+                               max_size=3, unique=True))
+    fine = FullWalkSim(n_side, params, claws)
+    coarse = FullWalkSim(n_side, params, claws)
+    fine.run(fine=True)
+    coarse.run(fine=False)
+    assert np.array_equal(fine.state, coarse.state)
 
 
 def test_ledger_matches_law_on_runs():
@@ -117,10 +155,10 @@ def test_tuning_from_one_run_equals_per_count_resimulation():
 
 
 def test_claw_walk_run_modes_agree():
-    problem = planted_problem(3, claw_at=(5, 2))
+    problem, planted = planted_claw_problem(3, seed=2)
     rc = claw_walk_run(problem, mode="collapsed")
     rf = claw_walk_run(problem, mode="full")
-    assert rc.claw == rf.claw == (5, 2)
+    assert rc.claw == rf.claw == planted
     assert rf.success_prob == pytest.approx(rc.success_prob, abs=1e-10)
     assert rc.ledger.oracle_queries == ledger_law(rc.params)
 
@@ -141,19 +179,29 @@ def test_collapsed_requires_unique_claw(monkeypatch):
 
 
 def test_claw_walk_sample_finds_planted_claw():
-    problem = planted_problem(4, claw_at=(11, 6))
+    problem, planted = planted_claw_problem(4, seed=0)
     result = claw_walk_sample(problem, seed=0, mode="collapsed")
-    assert result.claw == (11, 6)
+    assert result.claw == planted
     assert result.retries >= 1
     # the ledger charges every attempt
     per_run = ledger_law(result.params)
     assert result.ledger.oracle_queries == result.retries * per_run
 
 
-def test_claw_walk_sample_full_mode():
-    problem = planted_problem(2, claw_at=(3, 1))
+def test_claw_walk_sample_full_mode(monkeypatch):
+    built = []
+
+    class CountingSim(FullWalkSim):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr("clawbench.walk.FullWalkSim", CountingSim)
+    problem, planted = planted_claw_problem(2, seed=1)
     result = claw_walk_sample(problem, seed=1, mode="full")
-    assert result.claw == (3, 1)
+    assert result.claw == planted
+    # every attempt measures the one simulated state
+    assert len(built) == 1
 
 
 def test_full_sim_capacity_guard():
