@@ -428,10 +428,10 @@ def run_asr_attack(pair_set, spec, backends="classical", seed=0,
                 keys = (k1, k2, k3, k4, k5, k6)
                 if _verify(pair_set, keys, spec):
                     stages.append({"name": "k5", "backend": backends["search"],
-                                   "queries": q5 or e5,
+                                   "queries": stats.last_call["k5"],
                                    "result_hex": word_to_hex(k5, w)})
                     stages.append({"name": "k4", "backend": backends["search"],
-                                   "queries": q4 or e4,
+                                   "queries": stats.last_call["k4"],
                                    "result_hex": word_to_hex(k4, w)})
                     stages.append({"name": "k1-xor-k3", "backend": "direct",
                                    "queries": 3,
