@@ -19,8 +19,8 @@ from .cipher import (FeistelSpec, feistel_decrypt, feistel_encrypt,
                      simeck_key_schedule)
 from .claw import CapacityError, ClawProblem, check_exhaustive_bits
 from .grover import (GroverInstance, grover_success_prob, marked_probability)
-from .walk import (CollapsedWalkSim, claw_walk_run, claw_walk_sample,
-                   ledger_law, walk_params)
+from .walk import (CollapsedWalkSim, check_walk_steps, claw_walk_run,
+                   claw_walk_sample, ledger_law, walk_params)
 from .words import block_to_hex, hex_to_block, hex_to_word, word_to_hex
 
 EXIT_OK = 0
@@ -194,10 +194,15 @@ def cmd_sim_clawwalk(args):
 
 
 def cmd_scaling(args):
-    rows = ["N,r,t1,t2,outer_reps,queries,success_prob,mode"]
+    # refuse before the first run: each logs one norm per walk step
+    runs = []
     for u in range(args.min_exp, args.max_exp + 1):
         n = 1 << u
         params = walk_params(n, n, args.multiplier)
+        check_walk_steps(params)
+        runs.append((n, params))
+    rows = ["N,r,t1,t2,outer_reps,queries,success_prob,mode"]
+    for n, params in runs:
         try:
             sim = CollapsedWalkSim(n, params)
             prob = sim.run()

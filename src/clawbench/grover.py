@@ -2,8 +2,12 @@
 
 The simulator works on the amplitude vector directly: the phase oracle
 flips marked amplitudes, and the diffusion about the uniform state is the
-rank-1 update 2|phi><phi| - I (never materialized as a matrix).  One
-oracle application is charged to the query ledger per iteration.
+rank-1 update 2|phi><phi| - I (never materialized as a matrix).  The
+diffusion fixes <phi|, so it leaves the amplitude sum unchanged, while the
+oracle changes it by -2 * (sum of the marked amplitudes).  The simulator
+carries that sum through the oracle, so each iteration is one in-place
+pass over the N amplitudes.  One oracle application is charged to the
+query ledger per iteration.
 """
 
 import math
@@ -43,6 +47,10 @@ class GroverInstance:
 
     def __post_init__(self):
         self.marked = tuple(sorted(set(self.marked)))
+        if self.marked and (self.marked[0] < 0
+                            or self.marked[-1] >= self.n_items):
+            raise ValueError(
+                f"marked indices must lie in [0, {self.n_items})")
         if self.iterations is None:
             self.iterations = grover_iterations(self.n_items, len(self.marked))
 
@@ -63,6 +71,11 @@ def grover_run_statevector(inst, norm_log=None):
     Returns (probabilities, ledger); the ledger charges one oracle query
     per iteration.  If norm_log is a list, the state norm is appended
     after every operator application.
+
+    The amplitude sum is carried from the start: the oracle subtracts
+    twice the marked amplitudes from it (O(M)) before negating them, and
+    the diffusion, which leaves the sum unchanged, is then the single
+    in-place pass amp <- 2 * sum / N - amp.
     """
     n = inst.n_items
     if n > STATEVECTOR_LIMIT:
@@ -71,13 +84,15 @@ def grover_run_statevector(inst, norm_log=None):
         raise ValueError("no marked element")
     marked = np.array(inst.marked)
     amp = np.full(n, 1 / math.sqrt(n))
+    total = amp.sum()
     ledger = QueryLedger()
     for _ in range(inst.iterations):
+        total -= 2 * amp[marked].sum()
         amp[marked] = -amp[marked]
         ledger.charge(1)
         if norm_log is not None:
             norm_log.append(float(np.linalg.norm(amp)))
-        amp = 2 * amp.mean() - amp
+        np.subtract(2 * total / n, amp, out=amp)
         if norm_log is not None:
             norm_log.append(float(np.linalg.norm(amp)))
     return amp ** 2, ledger

@@ -34,6 +34,7 @@ from .claw import CapacityError, find_claws_exhaustive
 from .grover import QueryLedger
 
 FULL_BASIS_GUARD = 10_000_000
+WALK_STEP_GUARD = 1 << 20
 
 
 class UniqueClawRequired(RuntimeError):
@@ -80,6 +81,15 @@ def ledger_law(params):
     """Exact oracle-query count for one run with the given parameters."""
     return (params.r1 + params.r2
             + params.outer_reps * (params.t1 + params.t2) * 2)
+
+
+def check_walk_steps(params):
+    """Refuse a run of more walk steps than the guard; a run logs one norm
+    per step, outer_reps * (t1 + t2) of them."""
+    steps = params.outer_reps * (params.t1 + params.t2)
+    if steps > WALK_STEP_GUARD:
+        raise CapacityError(f"walk of {steps} steps exceeds guard "
+                            f"2^{WALK_STEP_GUARD.bit_length() - 1} steps")
 
 
 # ---------------------------------------------------------------------------

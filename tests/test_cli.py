@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from clawbench.claw import CapacityError
 from clawbench.cli import main
+from clawbench.walk import check_walk_steps, walk_params
 
 
 def run_cli(capsys, *argv):
@@ -145,6 +147,14 @@ def test_sim_grover(capsys):
     assert report["success_prob_closed_form"] == pytest.approx(1.0)
 
 
+def test_sim_grover_rejects_marked_outside_items(capsys):
+    for marked in ("--marked=-1", "--marked=9"):
+        code, out, err = run_cli(capsys, "sim-grover", "--items", "8", marked)
+        assert code == 3
+        assert out == ""
+        assert "marked indices" in err
+
+
 def test_sim_grover_capacity_guard(capsys):
     code, _, _ = run_cli(capsys, "sim-grover", "--items", str(1 << 21),
                          "--marked", "0", "--iterations", "1")
@@ -201,6 +211,25 @@ def test_scaling_csv(capsys):
     assert len(baseline) == 3
     n, r, t1, t2, outer, queries, _, _ = collapsed[0].split(",")
     assert int(queries) == 2 * int(r) + int(outer) * (int(t1) + int(t2)) * 2
+
+
+def test_scaling_refuses_step_count_before_any_run(capsys, monkeypatch):
+    def no_run(*args):
+        raise AssertionError("a walk ran before the refusal")
+
+    monkeypatch.setattr("clawbench.cli.CollapsedWalkSim", no_run)
+    code, out, err = run_cli(capsys, "scaling", "--min-exp", "6",
+                             "--max-exp", "40")
+    assert code == 4
+    assert out == ""
+    assert "steps exceeds guard" in err
+
+
+def test_walk_step_guard_boundary():
+    # u = 29 runs 1,039,014 steps, u = 30 runs 1,648,640
+    check_walk_steps(walk_params(1 << 29, 1 << 29))
+    with pytest.raises(CapacityError):
+        check_walk_steps(walk_params(1 << 30, 1 << 30))
 
 
 def test_selftest(capsys):

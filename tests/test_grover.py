@@ -2,11 +2,31 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clawbench.claw import CapacityError
-from clawbench.grover import (GroverInstance, grover_iterations,
-                              grover_run_statevector, grover_sample,
-                              grover_success_prob, marked_probability)
+from clawbench.grover import (STATEVECTOR_LIMIT, GroverInstance, QueryLedger,
+                              grover_iterations, grover_run_statevector,
+                              grover_sample, grover_success_prob,
+                              marked_probability)
+
+
+def two_pass_reference(inst, norm_log=None):
+    """The textbook loop: negate the marked amplitudes, then reflect about
+    the mean, reduced afresh each iteration, into a new array."""
+    n = inst.n_items
+    marked = np.array(inst.marked)
+    amp = np.full(n, 1 / math.sqrt(n))
+    ledger = QueryLedger()
+    for _ in range(inst.iterations):
+        amp[marked] = -amp[marked]
+        ledger.charge(1)
+        if norm_log is not None:
+            norm_log.append(float(np.linalg.norm(amp)))
+        amp = 2 * amp.mean() - amp
+        if norm_log is not None:
+            norm_log.append(float(np.linalg.norm(amp)))
+    return amp ** 2, ledger
 
 
 def test_iteration_counts():
@@ -50,9 +70,31 @@ def test_norm_preserved():
     assert max(abs(v - 1.0) for v in log) < 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(4, 1 << 12), data=st.data(),
+       scale=st.sampled_from((0, 1, 2)))
+def test_one_pass_matches_two_pass_reference(n, data, scale):
+    marked = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                max_size=8, unique=True))
+    inst = GroverInstance(n, marked, scale * grover_iterations(n, len(marked)))
+    log, ref_log = [], []
+    probs, ledger = grover_run_statevector(inst, norm_log=log)
+    want, ref_ledger = two_pass_reference(inst, norm_log=ref_log)
+    assert np.max(np.abs(probs - want)) <= 1e-13
+    assert ledger == ref_ledger
+    assert len(log) == len(ref_log)
+
+
 def test_capacity_guard():
     with pytest.raises(CapacityError):
         grover_run_statevector(GroverInstance(1 << 21, (0,), 1))
+
+
+def test_statevector_limit_itself_runs():
+    n = STATEVECTOR_LIMIT
+    prob, ledger = marked_probability(GroverInstance(n, (0, n - 1), 1))
+    assert prob == pytest.approx(grover_success_prob(n, 2, 1), abs=1e-12)
+    assert ledger.oracle_queries == 1
 
 
 def test_sample_finds_marked_item():
