@@ -125,9 +125,20 @@ def _peel_diff(known, pair_set, pair_idx, spec):
 
 
 def _peel_match(known, want, pair_set, spec):
-    """Element-wise: pairs 2 and 3 peel to the differences want[0], want[1]."""
-    return ((_peel_diff(known, pair_set, 2, spec) == want[0])
-            & (_peel_diff(known, pair_set, 3, spec) == want[1]))
+    """Element-wise over the swept key known[0] (an array): pairs 2 and 3
+    peel to the differences want[0], want[1] from pair 1.
+
+    Pair 1 is peeled once for both equations, and pair 3 only for the
+    swept keys that pass pair 2's equation.
+    """
+    keys = (0, *known)
+    (_, ct1), (_, ct2), (_, ct3) = pair_set.pairs
+    first = _peeled_right(ct1, keys, spec)
+    match = (first ^ _peeled_right(ct2, keys, spec)) == want[0]
+    hits = np.flatnonzero(match)
+    keys = (0, known[0][hits], *known[1:])
+    match[hits] = (first[hits] ^ _peeled_right(ct3, keys, spec)) == want[1]
+    return match
 
 
 def _plaintext_left_diff(pair_set, pair_idx):

@@ -6,8 +6,10 @@ Round rule (the structure Simeck instantiates):
 
 The Simeck round function is F(x) = (x & rotl(x, a)) ^ rotl(x, b) with
 (a, b) = (5, 1), reduced mod the word width for toy widths.  A seeded
-table-driven mode provides independent random round functions so attack
-properties can be checked over many cipher instances, not just Simeck.
+mode provides independent random round functions so attack properties can
+be checked over many cipher instances, not just Simeck.  Either way F_i is
+a lookup into a table over all 2^w words; Simeck's one table is shared by
+every spec with the same width and rotations.
 
 All word-level operations accept numpy arrays as well as ints, so callers
 can evaluate a round function over a whole candidate sweep at once.
@@ -62,6 +64,7 @@ class FeistelSpec:
             if self.word_width < 4:
                 # rot_a mod 3 == 2 == 2*rot_b: too degenerate to keep
                 raise ValueError("simeck round function needs width >= 4")
+            tables = (_simeck_table(self),) * self.rounds
         elif self.round_function == "random":
             if self.seed is None:
                 raise ValueError("random round functions need a seed")
@@ -69,9 +72,9 @@ class FeistelSpec:
             n = 1 << self.word_width
             tables = tuple(rng.integers(0, n, size=n, dtype=np.uint32)
                            for _ in range(self.rounds))
-            object.__setattr__(self, "_tables", tables)
         else:
             raise ValueError(f"unknown round function {self.round_function!r}")
+        object.__setattr__(self, "_tables", tables)
 
     @property
     def eff_rot_a(self):
@@ -82,11 +85,10 @@ class FeistelSpec:
         return self.rot_b % self.word_width
 
     def round_f(self, round_index, x):
-        """Evaluate F_i (1-based round index) on a word or word array."""
+        """Evaluate F_i (1-based round index) on a word or word array by
+        table lookup; a word gives an np.uint32."""
         if not (1 <= round_index <= self.rounds):
             raise ValueError(f"round index {round_index} outside 1..{self.rounds}")
-        if self.round_function == "simeck":
-            return simeck_f(x, self)
         return self._tables[round_index - 1][x]
 
 
@@ -94,6 +96,25 @@ def simeck_f(x, spec):
     """(x & rotl(x, a)) ^ rotl(x, b) within the spec's word width."""
     w = spec.word_width
     return ((x & rotl(x, spec.eff_rot_a, w)) ^ rotl(x, spec.eff_rot_b, w)) & mask(w)
+
+
+_SIMECK_TABLES = {}
+
+
+def _simeck_table(spec):
+    """simeck_f over all 2^w words, built once per (width, rotations) and
+    read-only, since every spec with those parameters shares it.  It is
+    evaluated in place 1,024 words at a time, so simeck_f's temporaries
+    stay small."""
+    key = (spec.word_width, spec.eff_rot_a, spec.eff_rot_b)
+    if key not in _SIMECK_TABLES:
+        table = np.arange(1 << spec.word_width, dtype=np.uint32)
+        for lo in range(0, table.size, 1024):
+            words = table[lo:lo + 1024]
+            words[:] = simeck_f(words, spec)
+        table.flags.writeable = False
+        _SIMECK_TABLES[key] = table
+    return _SIMECK_TABLES[key]
 
 
 def check_subkeys(keys, spec):

@@ -91,27 +91,33 @@ def find_claws_exhaustive(problem):
     return [(int(a), int(b)) for a, b in pairs]
 
 
-def find_claws_sorted(problem, max_bits=24):
+def find_claws_sorted(problem):
     """Sort-and-match search over both 2^u-entry value tables.
 
-    Returns (claws, evaluations); claws come in sorted-value order with
-    lexicographic (x1, x2) tie-break, and evaluations == 2^(u+1) exactly.
-    The stable sorts keep equal values in ascending index order, so each
-    f entry's run of equal g values [lo, hi) is already in x2 order.
+    Returns (claws, evaluations) with evaluations == 2^(u+1) exactly.
+    Each table entry is packed into one key value << (u+1) | side << u |
+    index, and the 2^(u+1) keys are sorted once: equal values become
+    adjacent, f entries (side 0) before g entries, each side in index
+    order.  A value found on both sides is then exactly one f->g step
+    between neighbours, and expanding its run into the (x1, x2) cross
+    product gives the claws in (value, x1, x2) order.
     """
     u = problem.domain_bits
-    if u > max_bits:
-        raise CapacityError(f"sorted match refused for u={u} > {max_bits}")
-    f_tab = side_table(problem, 0)
-    g_tab = side_table(problem, 1)
-    evals = 2 * problem.n_side
-
-    f_order = np.argsort(f_tab, kind="stable")
-    g_order = np.argsort(g_tab, kind="stable")
-    f_sorted = f_tab[f_order]
-    g_sorted = g_tab[g_order]
-    lo = np.searchsorted(g_sorted, f_sorted, side="left")
-    hi = np.searchsorted(g_sorted, f_sorted, side="right")
-    claws = [(int(f_order[i]), int(b)) for i in np.nonzero(hi > lo)[0]
-             for b in g_order[lo[i]:hi[i]]]
-    return claws, evals
+    key_bits = problem.range_bits * problem.eq_count + u + 1
+    if key_bits > 64:
+        raise CapacityError(f"sort key of {key_bits} bits exceeds 64")
+    index = np.arange(problem.n_side, dtype=np.uint64)
+    index_mask = index[-1]
+    keys = np.concatenate([side_table(problem, 0) << (u + 1) | index,
+                           side_table(problem, 1) << (u + 1) | (1 << u)
+                           | index])
+    keys.sort()
+    # neighbours differing in the side and index bits only are one
+    # value's f -> g step; the value's run of keys is [lo, hi)
+    steps = np.flatnonzero((keys[1:] ^ keys[:-1]) >> u == 1)
+    lo = np.searchsorted(keys, keys[steps] >> (u + 1) << (u + 1))
+    hi = np.searchsorted(keys, keys[steps + 1] | index_mask, side="right")
+    claws = [(int(a & index_mask), int(b & index_mask))
+             for step, first, end in zip(steps, lo, hi)
+             for a in keys[first:step + 1] for b in keys[step + 1:end]]
+    return claws, 2 * problem.n_side

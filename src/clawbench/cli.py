@@ -198,7 +198,11 @@ def cmd_scaling(args):
     runs = []
     for u in range(args.min_exp, args.max_exp + 1):
         n = 1 << u
-        params = walk_params(n, n, args.multiplier)
+        try:
+            params = walk_params(n, n, args.multiplier)
+        except OverflowError:
+            raise CapacityError(f"walk parameters for N=2^{u} overflow "
+                                "a float") from None
         check_walk_steps(params)
         runs.append((n, params))
     rows = ["N,r,t1,t2,outer_reps,queries,success_prob,mode"]

@@ -274,6 +274,32 @@ def test_resolve_survivors_equal_the_six_round_sweep(monkeypatch):
     assert rejected > 0 and passed > 0
 
 
+def two_diff_match(known, want, pair_set, spec):
+    """Reference for _peel_match: both equations over the whole sweep,
+    each peeling pair 1 again."""
+    return ((attack._peel_diff(known, pair_set, 2, spec) == want[0])
+            & (attack._peel_diff(known, pair_set, 3, spec) == want[1]))
+
+
+def test_peel_match_equals_two_diff_reference(monkeypatch):
+    peel_match = attack._peel_match
+    sweeps = {2: 0, 3: 0}       # len(known): K5 sweeps, K4 sweeps
+
+    def checked(known, want, pair_set, spec):
+        got = peel_match(known, want, pair_set, spec)
+        assert got.dtype == bool
+        assert np.array_equal(got, two_diff_match(known, want, pair_set,
+                                                  spec))
+        sweeps[len(known)] += 1
+        return got
+
+    monkeypatch.setattr(attack, "_peel_match", checked)
+    for spec, pair_set in resolve_instances():
+        run_asr_attack(pair_set, spec)
+    print(f"peel match: {sweeps[2]} K5 and {sweeps[3]} K4 sweeps checked")
+    assert sweeps[2] > 0 and sweeps[3] > 0
+
+
 def test_classical_evals_do_not_depend_on_grover_misses():
     spec = FeistelSpec(word_width=8)
     pair_set = make_pair_set(spec, random_subkeys(spec, 1), 1)

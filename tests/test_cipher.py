@@ -21,6 +21,20 @@ def test_simeck_f_widths_stay_closed():
         assert np.all(out <= mask(w))
 
 
+def test_round_f_is_one_shared_simeck_table():
+    for w in range(4, 17):
+        spec = FeistelSpec(word_width=w)
+        xs = np.arange(1 << w, dtype=np.uint32)
+        for i in range(1, spec.rounds + 1):
+            assert np.array_equal(spec.round_f(i, xs), simeck_f(xs, spec))
+        table = spec._tables[0]
+        assert FeistelSpec(word_width=w, rounds=3)._tables[0] is table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1
+    assert isinstance(spec.round_f(1, 0xCDF5), np.uint32)
+
+
 def test_simeck_needs_width_4():
     with pytest.raises(ValueError):
         FeistelSpec(word_width=3)

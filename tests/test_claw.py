@@ -65,6 +65,41 @@ def test_sorted_matches_exhaustive_on_random_instances():
                                key=lambda c: (f_tab[c[0]], *c))
 
 
+@pytest.mark.parametrize("u", [10, 12])
+def test_sorted_matches_exhaustive_on_long_shared_runs(u):
+    # a sixteenth of each side takes one of 16 shared levels, so each
+    # level is a run of several f and several g entries
+    rng = np.random.default_rng(u)
+    n = 1 << u
+    levels = rng.choice(1 << 16, size=16, replace=False)
+    tabs = []
+    for _ in range(2):
+        tab = rng.integers(0, 1 << 16, size=n)
+        tab[rng.choice(n, size=n // 16, replace=False)] = \
+            rng.choice(levels, size=n // 16)
+        tabs.append(tab)
+    f_tab, g_tab = tabs
+    problem = table_problem([f_tab >> 8, f_tab & 255],
+                            [g_tab >> 8, g_tab & 255], u, 8)
+    claws, evals = find_claws_sorted(problem)
+    assert evals == 2 * n
+    assert claws == sorted(find_claws_exhaustive(problem),
+                           key=lambda c: (f_tab[c[0]], *c))
+    x1s, x2s = zip(*claws)
+    assert len(set(x1s)) < len(claws) and len(set(x2s)) < len(claws)
+
+
+def test_sort_key_guard_refuses_before_evaluating():
+    def never(x):
+        raise AssertionError("side table evaluated before the guard")
+
+    # 3 x 16 value bits + 16 index bits + 1 side bit = 65
+    problem = ClawProblem(domain_bits=16, range_bits=16,
+                          f_family=(never,) * 3, g_family=(never,) * 3)
+    with pytest.raises(CapacityError):
+        find_claws_sorted(problem)
+
+
 def test_capacity_guards():
     problem = table_problem([np.zeros(1 << 13, np.uint32)],
                             [np.zeros(1 << 13, np.uint32)], 13, 8)

@@ -225,6 +225,20 @@ def test_scaling_refuses_step_count_before_any_run(capsys, monkeypatch):
     assert "steps exceeds guard" in err
 
 
+def test_scaling_refuses_float_overflow_before_any_run(capsys, monkeypatch):
+    def no_run(*args):
+        raise AssertionError("a walk ran before the refusal")
+
+    monkeypatch.setattr("clawbench.cli.CollapsedWalkSim", no_run)
+    # (2^1100)^2 has no float cube root: walk_params overflows
+    code, out, err = run_cli(capsys, "scaling", "--min-exp", "1100",
+                             "--max-exp", "1100")
+    assert code == 4
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "overflow" in err
+
+
 def test_walk_step_guard_boundary():
     # u = 29 runs 1,039,014 steps, u = 30 runs 1,648,640
     check_walk_steps(walk_params(1 << 29, 1 << 29))
