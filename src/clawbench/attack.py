@@ -172,19 +172,6 @@ def build_claw_problem(pair_set, spec):
                        f_family=f_family, g_family=g_family)
 
 
-def k5_check(k5, k6, pair_set, pair_idx, spec):
-    """Round-3 matching: decryption-side left difference (guessing k5, k6)
-    must equal the plaintext left difference."""
-    return bool(np.all(_peel_diff((k5, k6), pair_set, pair_idx, spec)
-                       == _plaintext_left_diff(pair_set, pair_idx)))
-
-
-def k4_check(k4, k5, k6, pair_set, pair_idx, spec):
-    """Round-2 matching: the rule pins the round-2 left difference to zero."""
-    return bool(np.all(_peel_diff((k4, k5, k6), pair_set, pair_idx, spec)
-                       == 0))
-
-
 def k3_check_paper(k3, k4, k5, k6, pair_set, pair_idx, spec):
     """Round-1 matching, taken literally.
 
@@ -232,36 +219,37 @@ class QueryStats:
         self.last_call[stage] = queries or evals
 
 
-def _search_candidates(predicate, spec, backend, seed, retry_bound):
-    """Candidate key values for one Grover-style stage.
+GROVER_RETRIES = 5
 
-    predicate maps a numpy array of all 2^w candidates to a bool
-    array.  Returns (candidates, quantum_queries, classical_evals);
-    exhaustive returns every survivor, grover samples and verifies up to
-    retry_bound times.  Either backend charges the one vectorised sweep,
-    N classical evaluations, however many samples missed.
+
+def _search_candidates(stage, predicate, spec, backend, seed, stats):
+    """Candidate key values for one Grover-style stage, in ascending order
+    for both backends so the downstream pipeline is backend-independent.
+
+    predicate maps a numpy array of all 2^w candidates to a bool array.
+    The grover backend also samples the survivors and verifies each
+    sample, up to GROVER_RETRIES times, for the quantum query count.  The
+    call is charged to stats under stage: the one vectorised sweep, N
+    classical evaluations however many samples missed, plus the queries.
     """
     n = 1 << spec.word_width
     xs = np.arange(n, dtype=np.uint32)
     truth = predicate(xs)
     survivors = [int(x) for x in np.nonzero(truth)[0]]
-    if backend == "exhaustive" or not survivors:
-        return survivors, 0, n
     queries = 0
-    # iteration count assumes a single marked element; spurious
-    # survivors are handled by reruns and classical verification
-    iters = grover.grover_iterations(n, 1)
-    for attempt in range(retry_bound):
-        idx, ledger = grover.grover_sample(
-            lambda x: bool(truth[x]), n, seed=seed + attempt,
-            iterations=iters, marked=survivors)
-        queries += ledger.oracle_queries
-        if truth[idx]:
-            break
-    # candidates are returned in ascending order for both backends so
-    # the downstream pipeline is backend-independent; the sampling above
-    # contributes the quantum query accounting
-    return survivors, queries, n
+    if backend != "exhaustive" and survivors:
+        # iteration count assumes a single marked element; spurious
+        # survivors are handled by reruns and classical verification
+        iters = grover.grover_iterations(n, 1)
+        for attempt in range(GROVER_RETRIES):
+            idx, ledger = grover.grover_sample(
+                lambda x: bool(truth[x]), n, seed=seed + attempt,
+                iterations=iters, marked=survivors)
+            queries += ledger.oracle_queries
+            if truth[idx]:
+                break
+    stats.charge(stage, queries, n)
+    return survivors
 
 
 @dataclass
@@ -291,7 +279,7 @@ BACKEND_PRESETS = {
 }
 
 
-def _claw_candidates(problem, backend, seed, walk_retries, stats):
+def _claw_candidates(problem, backend, seed, stats):
     """Stage-1 claw candidates in deterministic order, from one census.
 
     The exhaustive backend takes the census from the pairwise scan, every
@@ -310,7 +298,7 @@ def _claw_candidates(problem, backend, seed, walk_retries, stats):
     if mode == "collapsed" and len(claws) != 1:
         return claws, f"{backend}->sorted (claw not unique)"
     result = claw_walk_sample(problem, seed=seed, mode=mode,
-                              max_retries=walk_retries, claws=sorted(claws))
+                              claws=sorted(claws))
     stats.claw_queries = result.ledger.oracle_queries
     stats.walk_success_prob = result.success_prob
     if result.claw is None:
@@ -328,7 +316,7 @@ def schedule_consistent(k1, k2, k5, spec):
 
 
 def resolve_k1_k2_k3(c_star, k2_prime, pair_set, spec, k456, backend,
-                     seed, retry_bound, stats):
+                     seed, stats):
     """Resolve (K1, K2, K3) via the extra pair, or report the equivalence
     family (representative K1 = 0) when none is supplied.
 
@@ -362,10 +350,10 @@ def resolve_k1_k2_k3(c_star, k2_prime, pair_set, spec, k456, backend,
     if l4 ^ spec.round_f(3, r4) ^ c_star != a:
         raise AttackError("no K1 satisfies the extra pair; upstream keys wrong")
     target = r4 ^ l1 ^ k2_prime
-    cands, q, evals = _search_candidates(
+    cands = _search_candidates(
+        "resolve-k1",
         lambda xs: spec.round_f(2, xs ^ a) ^ spec.round_f(2, xs ^ c) == target,
-        spec, backend, seed, retry_bound)
-    stats.charge("resolve-k1", q, evals)
+        spec, backend, seed, stats)
     if not cands:
         raise AttackError("no K1 satisfies the extra pair; upstream keys wrong")
     uniqueness = "unique"
@@ -383,8 +371,7 @@ def resolve_k1_k2_k3(c_star, k2_prime, pair_set, spec, k456, backend,
     return (k1, k2, k1 ^ c_star), uniqueness
 
 
-def run_asr_attack(pair_set, spec, backends="classical", seed=0,
-                   retry_bound=5, walk_retries=400):
+def run_asr_attack(pair_set, spec, backends="classical", seed=0):
     """Full pipeline: claw search for (K2', K6), difference checks for K5
     and K4, the K1 ^ K3 constant, then (K1, K2, K3) resolution and final
     trial-encryption arbitration.
@@ -403,8 +390,8 @@ def run_asr_attack(pair_set, spec, backends="classical", seed=0,
     w = spec.word_width
 
     problem = build_claw_problem(pair_set, spec)
-    claws, claw_backend = _claw_candidates(
-        problem, backends["claw"], seed, walk_retries, stats)
+    claws, claw_backend = _claw_candidates(problem, backends["claw"],
+                                           seed, stats)
     stages.append({"name": "claw-k2prime-k6", "backend": claw_backend,
                    "queries": stats.claw_queries
                    or stats.classical_evals["claw"],
@@ -415,25 +402,23 @@ def run_asr_attack(pair_set, spec, backends="classical", seed=0,
 
     l1_diffs = [_plaintext_left_diff(pair_set, p) for p in (2, 3)]
     for k2_prime, k6 in claws:
-        k5s, q5, e5 = _search_candidates(
-            lambda xs: _peel_match((xs, k6), l1_diffs, pair_set, spec),
-            spec, backends["search"], seed + 1, retry_bound)
-        stats.charge("k5", q5, e5)
+        k5s = _search_candidates(
+            "k5", lambda xs: _peel_match((xs, k6), l1_diffs, pair_set, spec),
+            spec, backends["search"], seed + 1, stats)
         for k5 in k5s:
             try:
                 c_star = k1k3_constant(pair_set, k2_prime, k5, k6, spec)
             except AttackError:
                 continue
-            k4s, q4, e4 = _search_candidates(
-                lambda xs: _peel_match((xs, k5, k6), (0, 0), pair_set,
-                                       spec),
-                spec, backends["search"], seed + 2, retry_bound)
-            stats.charge("k4", q4, e4)
+            k4s = _search_candidates(
+                "k4", lambda xs: _peel_match((xs, k5, k6), (0, 0),
+                                             pair_set, spec),
+                spec, backends["search"], seed + 2, stats)
             for k4 in k4s:
                 try:
                     (k1, k2, k3), uniqueness = resolve_k1_k2_k3(
                         c_star, k2_prime, pair_set, spec, (k4, k5, k6),
-                        backends["search"], seed + 3, retry_bound, stats)
+                        backends["search"], seed + 3, stats)
                 except AttackError:
                     continue
                 keys = (k1, k2, k3, k4, k5, k6)

@@ -19,7 +19,7 @@ from .cipher import (FeistelSpec, feistel_decrypt, feistel_encrypt,
                      simeck_key_schedule)
 from .claw import CapacityError, ClawProblem, check_exhaustive_bits
 from .grover import (GroverInstance, grover_success_prob, marked_probability)
-from .walk import (CollapsedWalkSim, check_walk_steps, claw_walk_run,
+from .walk import (CollapsedWalkSim, FullWalkSim, check_walk_steps,
                    claw_walk_sample, ledger_law, walk_params)
 from .words import block_to_hex, hex_to_block, hex_to_word, word_to_hex
 
@@ -124,10 +124,8 @@ def cmd_attack(args):
         pair_set = make_pair_set(spec, keys, args.random_seed,
                                  with_extra=with_extra)
     try:
-        pair_set.validate(spec)
         recovered, stats, stages = run_asr_attack(
-            pair_set, spec, backends=args.backend, seed=args.seed,
-            retry_bound=args.retry_bound, walk_retries=args.walk_retries)
+            pair_set, spec, backends=args.backend, seed=args.seed)
     except AttackError as exc:
         print(f"attack failed: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
@@ -246,9 +244,10 @@ def cmd_selftest(args):
     inst = GroverInstance(4, (2,), 1)
     prob, _ = marked_probability(inst)
     check("grover N=4 M=1 R=1 is exact", abs(prob - 1.0) < 1e-12)
-    problem, _ = planted_claw_problem(3, seed=1)
-    pc = claw_walk_run(problem, mode="collapsed").success_prob
-    pf = claw_walk_run(problem, mode="full").success_prob
+    _, claw = planted_claw_problem(3, seed=1)
+    params = walk_params(8, 8)
+    pc = CollapsedWalkSim(8, params).run()
+    pf = FullWalkSim(8, params, [claw]).run()
     check("walk full vs collapsed agree (N=8)", abs(pc - pf) < 1e-10)
     return EXIT_OK if failures == 0 else EXIT_VERIFICATION
 
@@ -291,8 +290,6 @@ def build_parser():
                    default=None,
                    help="include one non-rule pair for unique K1 resolution")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--retry-bound", type=int, default=5)
-    p.add_argument("--walk-retries", type=int, default=400)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_attack)
 

@@ -302,7 +302,7 @@ class CollapsedWalkSim:
 
 
 # ---------------------------------------------------------------------------
-# drivers
+# driver
 
 
 @dataclass
@@ -311,7 +311,6 @@ class WalkResult:
     claw: tuple | None
     ledger: QueryLedger
     params: WalkParams
-    mode: str
     norm_drift: float
     retries: int = 0
     all_claws: list = field(default_factory=list)
@@ -336,15 +335,30 @@ def tune_outer_reps(n_side, params, max_multiplier=3):
     return replace(params, outer_reps=best)
 
 
-def _run_walk(n, params, mode, claws, tune):
-    """Build and run mode's simulator on a nonempty claw census.
+def claw_walk_sample(problem, seed, mode="collapsed", params=None,
+                     max_retries=400, tune=True, claws=None):
+    """Simulate the walk once, then measure it until the measured subsets
+    contain a claw.
 
-    Every refusal comes before tuning: collapsed mode needs a unique
-    claw, full mode a basis within the guard.
+    Returns a WalkResult whose claw is the sampled pair (or None when
+    retries are exhausted or no claw exists); the ledger accumulates the
+    queries of every attempt.  The sampled claw is classically verified
+    against the claw census: claws, the complete claw set in ascending
+    (x1, x2) order, when the caller has one (the attack hands over its
+    sort-and-match result), else the exhaustive scan's.  Every refusal
+    comes before tuning: collapsed mode needs a unique claw, full mode a
+    basis within the guard.
     """
-    if mode == "collapsed" and len(claws) != 1:
+    rng = np.random.default_rng(seed)
+    n = problem.n_side
+    params = params or walk_params(n, n)
+    all_claws = find_claws_exhaustive(problem) if claws is None else claws
+    if not all_claws:
+        return WalkResult(0.0, None, QueryLedger(), params, 0.0,
+                          all_claws=[])
+    if mode == "collapsed" and len(all_claws) != 1:
         raise UniqueClawRequired(
-            f"collapsed mode needs a unique claw, found {len(claws)}")
+            f"collapsed mode needs a unique claw, found {len(all_claws)}")
     if mode not in ("collapsed", "full"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "full":
@@ -352,52 +366,8 @@ def _run_walk(n, params, mode, claws, tune):
     if tune:
         params = tune_outer_reps(n, params)
     sim = (CollapsedWalkSim(n, params) if mode == "collapsed"
-           else FullWalkSim(n, params, claws))
-    sim.run()
-    return sim
-
-
-def claw_walk_run(problem, params=None, mode="collapsed", claws=None,
-                  tune=False):
-    """Run the walk on a claw problem; returns a WalkResult with the exact
-    success probability (no sampling).
-
-    claws may be passed in (side-local indices) to skip the classical
-    uniqueness scan.
-    """
-    n = problem.n_side
-    if params is None:
-        params = walk_params(n, n)
-    if claws is None:
-        claws = find_claws_exhaustive(problem)
-    if mode == "full" and not claws:
-        return WalkResult(0.0, None, QueryLedger(), params, mode, 0.0)
-    sim = _run_walk(n, params, mode, claws, tune)
-    return WalkResult(sim.success_prob(), claws[0], sim.ledger, sim.params,
-                      mode, sim.norm_drift(), all_claws=list(claws))
-
-
-def claw_walk_sample(problem, seed, mode="collapsed", params=None,
-                     max_retries=400, tune=True, claws=None):
-    """Sample the walk until the measured subsets contain a claw.
-
-    Returns a WalkResult whose claw is the sampled pair (or None when
-    retries are exhausted or no claw exists); the ledger accumulates the
-    queries of every attempt.  The sampled claw is classically verified
-    against the claw census: claws, the complete claw set in ascending
-    (x1, x2) order, when the caller has one (the attack hands over its
-    sort-and-match result), else the exhaustive scan's.  The walk is
-    simulated once; every attempt measures that final state.
-    """
-    rng = np.random.default_rng(seed)
-    n = problem.n_side
-    params = params or walk_params(n, n)
-    all_claws = find_claws_exhaustive(problem) if claws is None else claws
-    if not all_claws:
-        return WalkResult(0.0, None, QueryLedger(), params, mode, 0.0,
-                          all_claws=[])
-    sim = _run_walk(n, params, mode, all_claws, tune)
-    prob = sim.success_prob()
+           else FullWalkSim(n, params, all_claws))
+    prob = sim.run()
     total = QueryLedger()
     for attempt in range(1, max_retries + 1):
         total.charge(sim.ledger.oracle_queries)
@@ -408,8 +378,7 @@ def claw_walk_sample(problem, seed, mode="collapsed", params=None,
             found = next(((a, b) for a, b in all_claws
                           if a in s1 and b in s2), None)
         if found is not None:
-            return WalkResult(prob, found, total, sim.params, mode,
-                              sim.norm_drift(), retries=attempt,
-                              all_claws=all_claws)
-    return WalkResult(prob, None, total, sim.params, mode, sim.norm_drift(),
+            return WalkResult(prob, found, total, params, sim.norm_drift(),
+                              retries=attempt, all_claws=all_claws)
+    return WalkResult(prob, None, total, params, sim.norm_drift(),
                       retries=max_retries, all_claws=all_claws)

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from clawbench import attack, vectors
-from clawbench.attack import (AttackError, ChosenPairSet, build_claw_problem,
-                              diff_f, diff_g, family_member, k1k3_constant,
-                              k3_check_paper, k4_check, k5_check,
+from clawbench.attack import (GROVER_RETRIES, AttackError, ChosenPairSet,
+                              QueryStats, build_claw_problem, diff_f, diff_g,
+                              family_member, k1k3_constant, k3_check_paper,
                               make_chosen_plaintext, make_pair_set,
                               resolve_k1_k2_k3, run_asr_attack,
                               schedule_consistent, true_k2_prime)
 from clawbench.cipher import FeistelSpec, feistel_encrypt, random_subkeys
 from clawbench.claw import find_claws_exhaustive, find_claws_sorted
+from clawbench.grover import grover_iterations
 
 from family_law import member_collides, rule_delta
 
@@ -89,14 +90,16 @@ def test_k5_k4_checks_with_true_keys():
     spec = vectors.SPEC
     pair_set = paper_pair_set()
     k4, k5, k6 = vectors.SUBKEYS[3:]
-    for idx in (2, 3):
-        assert k5_check(k5, k6, pair_set, idx, spec)
-        assert k4_check(k4, k5, k6, pair_set, idx, spec)
-    # survivor sweeps isolate the true values (conjoint over both pairs)
-    k5_survivors = [x for x in range(0, 1 << 16, 257)
-                    if k5_check(x, k6, pair_set, 2, spec)
-                    and k5_check(x, k6, pair_set, 3, spec)]
-    assert all(x == k5 for x in k5_survivors if x == k5)
+    l1 = [pt[0] for pt, _ in pair_set.pairs]
+    l1_diffs = (l1[0] ^ l1[1], l1[0] ^ l1[2])
+    # the true K5 and K4 pass both pairs' matching equations
+    k4s, k5s = np.array([k4], np.uint32), np.array([k5], np.uint32)
+    assert attack._peel_match((k5s, k6), l1_diffs, pair_set, spec).all()
+    assert attack._peel_match((k4s, k5, k6), (0, 0), pair_set, spec).all()
+    # a strided K5 sweep through the true value keeps it among its survivors
+    xs = np.arange(k5 % 257, 1 << 16, 257, dtype=np.uint32)
+    k5_survivors = xs[attack._peel_match((xs, k6), l1_diffs, pair_set, spec)]
+    assert k5 in k5_survivors
 
 
 def test_k3_check_is_degenerate_on_rule_pairs():
@@ -201,10 +204,9 @@ def test_schedule_consistency_breaks_the_tie():
 
 def test_resolve_without_extra_pair_reports_family():
     spec = vectors.SPEC
-    from clawbench.attack import QueryStats
     (k1, k2, k3), uniq = resolve_k1_k2_k3(
         vectors.K1_XOR_K3, vectors.K2_PRIME, paper_pair_set(), spec,
-        vectors.SUBKEYS[3:], "exhaustive", 0, 5, QueryStats())
+        vectors.SUBKEYS[3:], "exhaustive", 0, QueryStats())
     assert uniq == "equivalence-family"
     assert k1 == 0
     assert k3 == vectors.K1_XOR_K3
@@ -230,22 +232,18 @@ def resolve_calls(monkeypatch, pair_set, spec):
     search, resolve = attack._search_candidates, attack.resolve_k1_k2_k3
 
     def recording_resolve(c_star, k2_prime, pair_set, spec, k456, *rest):
-        survivors = []
-        calls.append(((c_star, k2_prime, k456), survivors))
+        calls.append(((c_star, k2_prime, k456), []))
+        return resolve(c_star, k2_prime, pair_set, spec, k456, *rest)
 
-        def recording_search(*args):
-            out = search(*args)
-            survivors.extend(out[0])
-            return out
-
-        attack._search_candidates = recording_search
-        try:
-            return resolve(c_star, k2_prime, pair_set, spec, k456, *rest)
-        finally:
-            attack._search_candidates = search
+    def recording_search(stage, *rest):
+        out = search(stage, *rest)
+        if stage == "resolve-k1":
+            calls[-1][1].extend(out)
+        return out
 
     with monkeypatch.context() as patch:
         patch.setattr(attack, "resolve_k1_k2_k3", recording_resolve)
+        patch.setattr(attack, "_search_candidates", recording_search)
         run_asr_attack(pair_set, spec)
     return calls
 
@@ -314,22 +312,62 @@ def test_resolve_ledger_adds_every_sweep(monkeypatch):
     verified."""
     spec = FeistelSpec(word_width=8)
     pair_set = make_pair_set(spec, random_subkeys(spec, 13), 13)
-    search, resolve = attack._search_candidates, attack.resolve_k1_k2_k3
+    search = attack._search_candidates
     sweeps = []
 
-    def sweeping_resolve(*args):
-        attack._search_candidates = lambda *a: sweeps.append(a) or search(*a)
-        try:
-            return resolve(*args)
-        finally:
-            attack._search_candidates = search
+    def sweeping_search(stage, *rest):
+        if stage == "resolve-k1":
+            sweeps.append(rest)
+        return search(stage, *rest)
 
-    monkeypatch.setattr(attack, "resolve_k1_k2_k3", sweeping_resolve)
+    monkeypatch.setattr(attack, "_search_candidates", sweeping_search)
     _, stats, stages = run_asr_attack(pair_set, spec)
     assert len(sweeps) == 9
     assert stats.classical_evals["resolve-k1"] == 9 * 256
     assert stages[-1]["name"] == "resolve-k1-k2-k3"
     assert stages[-1]["queries"] == 256
+
+
+def test_sweep_ledger_adds_up_per_stage(monkeypatch):
+    """Every key sweep charges the ledger once: N evaluations, and under
+    walk-sim between 1 and GROVER_RETRIES Grover runs when it has
+    survivors; each report stage shows the figure of its stage's last
+    call, the one on the verifying path."""
+    report_names = {"k5": "k5", "k4": "k4", "resolve-k1": "resolve-k1-k2-k3"}
+    search = attack._search_candidates
+
+    for spec, pair_set in resolve_instances():
+        n = 1 << spec.word_width
+        iters = grover_iterations(n, 1)
+        for backend in ("classical", "walk-sim"):
+            calls = {stage: [] for stage in report_names}
+
+            def counting_search(stage, *args):
+                stats = args[-1]
+                before = (stats.grover_queries.get(stage, 0),
+                          stats.classical_evals.get(stage, 0))
+                out = search(stage, *args)
+                q = stats.grover_queries[stage] - before[0]
+                e = stats.classical_evals[stage] - before[1]
+                calls[stage].append((bool(out), q or e))
+                return out
+
+            monkeypatch.setattr(attack, "_search_candidates", counting_search)
+            _, stats, stages = run_asr_attack(pair_set, spec,
+                                              backends=backend)
+            report = {s["name"]: s["queries"] for s in stages}
+            for stage, name in report_names.items():
+                made = calls[stage]
+                assert made, (spec, backend, stage)
+                assert stats.classical_evals[stage] == len(made) * n
+                queries = stats.grover_queries[stage]
+                if backend == "classical":
+                    assert queries == 0
+                else:
+                    hits = sum(nonempty for nonempty, _ in made)
+                    assert queries % iters == 0
+                    assert hits <= queries // iters <= GROVER_RETRIES * hits
+                assert report[name] == stats.last_call[stage] == made[-1][1]
 
 
 def test_full_attack_paper_vectors_with_extra_pair():

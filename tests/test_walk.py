@@ -8,8 +8,8 @@ from clawbench.claw import CapacityError, ClawProblem
 from clawbench.cli import planted_claw_problem
 from clawbench.walk import (CollapsedWalkSim, FullWalkSim, UniqueClawRequired,
                             WalkParams, _collapsed_step_matrix, _reflect,
-                            _side_operators, claw_walk_run, claw_walk_sample,
-                            ledger_law, tune_outer_reps, walk_params)
+                            _side_operators, claw_walk_sample, ledger_law,
+                            tune_outer_reps, walk_params)
 
 
 def test_walk_params_balanced():
@@ -154,13 +154,15 @@ def test_tuning_from_one_run_equals_per_count_resimulation():
                 (n, multiplier)
 
 
-def test_claw_walk_run_modes_agree():
+def test_claw_walk_sample_modes_agree():
     problem, planted = planted_claw_problem(3, seed=2)
-    rc = claw_walk_run(problem, mode="collapsed")
-    rf = claw_walk_run(problem, mode="full")
+    rc = claw_walk_sample(problem, seed=2, mode="collapsed", tune=False)
+    rf = claw_walk_sample(problem, seed=2, mode="full", tune=False)
     assert rc.claw == rf.claw == planted
     assert rf.success_prob == pytest.approx(rc.success_prob, abs=1e-10)
-    assert rc.ledger.oracle_queries == ledger_law(rc.params)
+    for result in (rc, rf):
+        assert result.ledger.oracle_queries == \
+            result.retries * ledger_law(result.params)
 
 
 def test_collapsed_requires_unique_claw(monkeypatch):
@@ -171,11 +173,11 @@ def test_collapsed_requires_unique_claw(monkeypatch):
                           f_family=(lambda x: f_tab[x],),
                           g_family=(lambda x: g_tab[x],))
     with pytest.raises(UniqueClawRequired):
-        claw_walk_run(problem, mode="collapsed")
+        claw_walk_sample(problem, seed=0, mode="collapsed", tune=False)
     # the refusal comes before any tuning work
     monkeypatch.setattr("clawbench.walk.tune_outer_reps", None)
     with pytest.raises(UniqueClawRequired):
-        claw_walk_run(problem, mode="collapsed", tune=True)
+        claw_walk_sample(problem, seed=0, mode="collapsed")
 
 
 def test_claw_walk_sample_finds_planted_claw():
