@@ -18,9 +18,11 @@ it is independent of K3 on rule pairs.
 Every stage after the claw works by peeling ciphertexts back through the
 rounds whose keys are already known (cipher.partial_decrypt), resolve
 included, and each stage's inputs are computed once: one claw census per
-attack, and K1 ^ K3 once per (K2', K6, K5) before the K4 search.
+attack, K1 ^ K3 once per (K2', K6, K5), one K5 sweep per K6 and one K4
+sweep per (K5, K6), each charged once and kept with its report figure.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +30,7 @@ import numpy as np
 from . import grover
 from .cipher import feistel_encrypt, partial_decrypt, simeck_f
 from .claw import ClawProblem, find_claws_exhaustive, find_claws_sorted
-from .walk import claw_walk_sample
+from .walk import UniqueClawRequired, claw_walk_sample
 from .words import check_word, mask, word_to_hex
 
 
@@ -95,8 +97,8 @@ def true_k2_prime(keys, constant_c, spec):
 
 
 def family_member(k1_star, k2_prime, c_star, constant_c, spec):
-    """The (K1, K2, K3) equivalence-family member selected by K1 = k1_star."""
-    k2 = spec.round_f(2, k1_star ^ constant_c) ^ k2_prime
+    """The (K1, K2, K3) family member selected by K1 = k1_star, as ints."""
+    k2 = int(spec.round_f(2, k1_star ^ constant_c) ^ k2_prime)
     return k1_star, k2, c_star ^ k1_star
 
 
@@ -208,15 +210,6 @@ class QueryStats:
     grover_queries: dict = field(default_factory=dict)
     classical_evals: dict = field(default_factory=dict)
     walk_success_prob: float | None = None
-    last_call: dict = field(default_factory=dict)
-
-    def charge(self, stage, queries, evals):
-        """Add one search call to the stage totals; last_call keeps the
-        call's report figure, its quantum queries or else evaluations."""
-        for totals, n in ((self.grover_queries, queries),
-                          (self.classical_evals, evals)):
-            totals[stage] = totals.get(stage, 0) + n
-        self.last_call[stage] = queries or evals
 
 
 GROVER_RETRIES = 5
@@ -224,7 +217,8 @@ GROVER_RETRIES = 5
 
 def _search_candidates(stage, predicate, spec, backend, seed, stats):
     """Candidate key values for one Grover-style stage, in ascending order
-    for both backends so the downstream pipeline is backend-independent.
+    for both backends so the downstream pipeline is backend-independent,
+    and the stage's report figure: its quantum queries, or else N.
 
     predicate maps a numpy array of all 2^w candidates to a bool array.
     The grover backend also samples the survivors and verifies each
@@ -248,8 +242,10 @@ def _search_candidates(stage, predicate, spec, backend, seed, stats):
             queries += ledger.oracle_queries
             if truth[idx]:
                 break
-    stats.charge(stage, queries, n)
-    return survivors
+    for totals, count in ((stats.grover_queries, queries),
+                          (stats.classical_evals, n)):
+        totals[stage] = totals.get(stage, 0) + count
+    return survivors, queries or n
 
 
 @dataclass
@@ -285,8 +281,8 @@ def _claw_candidates(problem, backend, seed, stats):
     The exhaustive backend takes the census from the pairwise scan, every
     other backend from one sort-and-match.  Walk backends sample one claw
     from that census (collapsed mode falls back to the sorted result when
-    the claw is not unique); classical backends return the whole claw set
-    so the pipeline can iterate on spurious claws.
+    the walk refuses a claw that is not unique); classical backends return
+    the whole claw set so the pipeline can iterate on spurious claws.
     """
     stats.classical_evals["claw"] = 2 * problem.n_side
     if backend == "exhaustive":
@@ -294,11 +290,12 @@ def _claw_candidates(problem, backend, seed, stats):
     claws, _ = find_claws_sorted(problem)
     if backend == "sorted":
         return claws, backend
-    mode = backend.removeprefix("walk-")
-    if mode == "collapsed" and len(claws) != 1:
+    try:
+        result = claw_walk_sample(problem, seed=seed,
+                                  mode=backend.removeprefix("walk-"),
+                                  claws=sorted(claws))
+    except UniqueClawRequired:
         return claws, f"{backend}->sorted (claw not unique)"
-    result = claw_walk_sample(problem, seed=seed, mode=mode,
-                              claws=sorted(claws))
     stats.claw_queries = result.ledger.oracle_queries
     stats.walk_success_prob = result.success_prob
     if result.claw is None:
@@ -318,7 +315,8 @@ def schedule_consistent(k1, k2, k5, spec):
 def resolve_k1_k2_k3(c_star, k2_prime, pair_set, spec, k456, backend,
                      seed, stats):
     """Resolve (K1, K2, K3) via the extra pair, or report the equivalence
-    family (representative K1 = 0) when none is supplied.
+    family (representative K1 = 0) when none is supplied, as ((K1, K2,
+    K3), uniqueness, figure); figure is the K1 sweep's, 0 in family mode.
 
     Like every other stage this peels: the extra pair's ciphertext goes
     back through rounds 6..4 once to the round-4 input (L4, R4).  With
@@ -342,15 +340,15 @@ def resolve_k1_k2_k3(c_star, k2_prime, pair_set, spec, k456, backend,
     """
     c = pair_set.constant_c
     if pair_set.extra_pair is None:
-        k1, k2, k3 = family_member(0, k2_prime, c_star, c, spec)
-        return (k1, k2, k3), "equivalence-family"
+        return (family_member(0, k2_prime, c_star, c, spec),
+                "equivalence-family", 0)
     (l1, r1), ct = pair_set.extra_pair
     l4, r4 = partial_decrypt(ct, (0, 0, 0, *k456), spec, 6, 4)
     a = r1 ^ spec.round_f(1, l1)
     if l4 ^ spec.round_f(3, r4) ^ c_star != a:
         raise AttackError("no K1 satisfies the extra pair; upstream keys wrong")
     target = r4 ^ l1 ^ k2_prime
-    cands = _search_candidates(
+    cands, figure = _search_candidates(
         "resolve-k1",
         lambda xs: spec.round_f(2, xs ^ a) ^ spec.round_f(2, xs ^ c) == target,
         spec, backend, seed, stats)
@@ -360,15 +358,14 @@ def resolve_k1_k2_k3(c_star, k2_prime, pair_set, spec, k456, backend,
     if len(cands) > 1:
         uniqueness = "extra-pair-ambiguous"
         if spec.round_function == "simeck":
-            k5 = k456[1]
             sched = [k1 for k1 in cands if schedule_consistent(
-                k1, spec.round_f(2, k1 ^ c) ^ k2_prime, k5, spec)]
+                *family_member(k1, k2_prime, c_star, c, spec)[:2], k456[1],
+                spec)]
             if len(sched) == 1:
                 cands = sched
                 uniqueness = "unique"
-    k1 = cands[0]
-    k2 = spec.round_f(2, k1 ^ c) ^ k2_prime
-    return (k1, k2, k1 ^ c_star), uniqueness
+    return (family_member(cands[0], k2_prime, c_star, c, spec), uniqueness,
+            figure)
 
 
 def run_asr_attack(pair_set, spec, backends="classical", seed=0):
@@ -401,33 +398,38 @@ def run_asr_attack(pair_set, spec, backends="classical", seed=0):
         raise AttackError("no claw found: malformed pair set, reject")
 
     l1_diffs = [_plaintext_left_diff(pair_set, p) for p in (2, 3)]
+
+    @functools.cache
+    def sweep(known):
+        """(survivors, figure) of the K5 sweep of (K6,) or K4 of (K5, K6)."""
+        stage, want, offset = (("k5", l1_diffs, 1) if len(known) == 1
+                               else ("k4", (0, 0), 2))
+        return _search_candidates(
+            stage, lambda xs: _peel_match((xs, *known), want, pair_set, spec),
+            spec, backends["search"], seed + offset, stats)
+
     for k2_prime, k6 in claws:
-        k5s = _search_candidates(
-            "k5", lambda xs: _peel_match((xs, k6), l1_diffs, pair_set, spec),
-            spec, backends["search"], seed + 1, stats)
+        k5s, k5_figure = sweep((k6,))
         for k5 in k5s:
             try:
                 c_star = k1k3_constant(pair_set, k2_prime, k5, k6, spec)
             except AttackError:
                 continue
-            k4s = _search_candidates(
-                "k4", lambda xs: _peel_match((xs, k5, k6), (0, 0),
-                                             pair_set, spec),
-                spec, backends["search"], seed + 2, stats)
+            k4s, k4_figure = sweep((k5, k6))
             for k4 in k4s:
                 try:
-                    (k1, k2, k3), uniqueness = resolve_k1_k2_k3(
+                    k123, uniqueness, resolve_figure = resolve_k1_k2_k3(
                         c_star, k2_prime, pair_set, spec, (k4, k5, k6),
                         backends["search"], seed + 3, stats)
                 except AttackError:
                     continue
-                keys = (k1, k2, k3, k4, k5, k6)
+                keys = (*k123, k4, k5, k6)
                 if _verify(pair_set, keys, spec):
                     stages.append({"name": "k5", "backend": backends["search"],
-                                   "queries": stats.last_call["k5"],
+                                   "queries": k5_figure,
                                    "result_hex": word_to_hex(k5, w)})
                     stages.append({"name": "k4", "backend": backends["search"],
-                                   "queries": stats.last_call["k4"],
+                                   "queries": k4_figure,
                                    "result_hex": word_to_hex(k4, w)})
                     stages.append({"name": "k1-xor-k3", "backend": "direct",
                                    "queries": 3,
@@ -435,10 +437,9 @@ def run_asr_attack(pair_set, spec, backends="classical", seed=0):
                     stages.append({"name": "resolve-k1-k2-k3",
                                    "backend": backends["search"]
                                    if pair_set.extra_pair else "family",
-                                   "queries":
-                                   stats.last_call.get("resolve-k1", 0),
+                                   "queries": resolve_figure,
                                    "result_hex": [word_to_hex(x, w)
-                                                  for x in (k1, k2, k3)]})
+                                                  for x in k123]})
                     recovered = RecoveredKeys(keys, k2_prime, c_star,
                                               uniqueness)
                     return recovered, stats, stages

@@ -9,7 +9,7 @@ The Simeck round function is F(x) = (x & rotl(x, a)) ^ rotl(x, b) with
 mode provides independent random round functions so attack properties can
 be checked over many cipher instances, not just Simeck.  Either way F_i is
 a lookup into a table over all 2^w words; Simeck's one table is shared by
-every spec with the same width and rotations.
+every spec with the same width.
 
 All word-level operations accept numpy arrays as well as ints, so callers
 can evaluate a round function over a whole candidate sweep at once.
@@ -50,8 +50,6 @@ class FeistelSpec:
 
     word_width: int
     rounds: int = 6
-    rot_a: int = SIMECK_ROT_A
-    rot_b: int = SIMECK_ROT_B
     round_function: str = "simeck"   # "simeck" | "random"
     seed: int | None = None          # seeds the random round-function tables
     _tables: tuple = field(default=None, repr=False, compare=False)
@@ -62,7 +60,7 @@ class FeistelSpec:
             raise ValueError("rounds must be >= 1")
         if self.round_function == "simeck":
             if self.word_width < 4:
-                # rot_a mod 3 == 2 == 2*rot_b: too degenerate to keep
+                # rotations 5 mod 3 == 2 == 2 * 1: too degenerate to keep
                 raise ValueError("simeck round function needs width >= 4")
             tables = (_simeck_table(self),) * self.rounds
         elif self.round_function == "random":
@@ -76,14 +74,6 @@ class FeistelSpec:
             raise ValueError(f"unknown round function {self.round_function!r}")
         object.__setattr__(self, "_tables", tables)
 
-    @property
-    def eff_rot_a(self):
-        return self.rot_a % self.word_width
-
-    @property
-    def eff_rot_b(self):
-        return self.rot_b % self.word_width
-
     def round_f(self, round_index, x):
         """Evaluate F_i (1-based round index) on a word or word array by
         table lookup; a word gives an np.uint32."""
@@ -95,26 +85,26 @@ class FeistelSpec:
 def simeck_f(x, spec):
     """(x & rotl(x, a)) ^ rotl(x, b) within the spec's word width."""
     w = spec.word_width
-    return ((x & rotl(x, spec.eff_rot_a, w)) ^ rotl(x, spec.eff_rot_b, w)) & mask(w)
+    a, b = SIMECK_ROT_A % w, SIMECK_ROT_B % w
+    return ((x & rotl(x, a, w)) ^ rotl(x, b, w)) & mask(w)
 
 
 _SIMECK_TABLES = {}
 
 
 def _simeck_table(spec):
-    """simeck_f over all 2^w words, built once per (width, rotations) and
-    read-only, since every spec with those parameters shares it.  It is
-    evaluated in place 1,024 words at a time, so simeck_f's temporaries
-    stay small."""
-    key = (spec.word_width, spec.eff_rot_a, spec.eff_rot_b)
-    if key not in _SIMECK_TABLES:
-        table = np.arange(1 << spec.word_width, dtype=np.uint32)
+    """simeck_f over all 2^w words, built once per width and read-only,
+    since every spec of that width shares it.  It is evaluated in place
+    1,024 words at a time, so simeck_f's temporaries stay small."""
+    w = spec.word_width
+    if w not in _SIMECK_TABLES:
+        table = np.arange(1 << w, dtype=np.uint32)
         for lo in range(0, table.size, 1024):
             words = table[lo:lo + 1024]
             words[:] = simeck_f(words, spec)
         table.flags.writeable = False
-        _SIMECK_TABLES[key] = table
-    return _SIMECK_TABLES[key]
+        _SIMECK_TABLES[w] = table
+    return _SIMECK_TABLES[w]
 
 
 def check_subkeys(keys, spec):

@@ -1,8 +1,9 @@
 """Command-line surface.
 
-Exit codes: 0 success, 2 failed verification, 3 input error, 4 capacity
-guard refusal.  All runs are reproducible from (flags, seed); reports are
-byte-identical for identical configurations.
+Exit codes: 0 success, 2 failed verification, 3 input error (a command
+line that does not parse included), 4 capacity guard refusal.  All runs
+are reproducible from (flags, seed); reports are byte-identical for
+identical configurations.
 """
 
 import argparse
@@ -31,6 +32,13 @@ EXIT_CAPACITY = 4
 
 class CliInputError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Exits EXIT_INPUT on a usage error, where argparse would exit 2."""
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
 def _parse_master(text, width):
@@ -253,7 +261,7 @@ def cmd_selftest(args):
 
 
 def build_parser():
-    top = argparse.ArgumentParser(prog="clawbench", description=__doc__)
+    top = _Parser(prog="clawbench", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("cipher", help="encrypt or decrypt one block")

@@ -204,10 +204,13 @@ def test_schedule_consistency_breaks_the_tie():
 
 def test_resolve_without_extra_pair_reports_family():
     spec = vectors.SPEC
-    (k1, k2, k3), uniq = resolve_k1_k2_k3(
+    stats = QueryStats()
+    (k1, k2, k3), uniq, figure = resolve_k1_k2_k3(
         vectors.K1_XOR_K3, vectors.K2_PRIME, paper_pair_set(), spec,
-        vectors.SUBKEYS[3:], "exhaustive", 0, QueryStats())
+        vectors.SUBKEYS[3:], "exhaustive", 0, stats)
     assert uniq == "equivalence-family"
+    assert figure == 0
+    assert stats.classical_evals == {}
     assert k1 == 0
     assert k3 == vectors.K1_XOR_K3
 
@@ -238,7 +241,7 @@ def resolve_calls(monkeypatch, pair_set, spec):
     def recording_search(stage, *rest):
         out = search(stage, *rest)
         if stage == "resolve-k1":
-            calls[-1][1].extend(out)
+            calls[-1][1].extend(out[0])
         return out
 
     with monkeypatch.context() as patch:
@@ -329,45 +332,89 @@ def test_resolve_ledger_adds_every_sweep(monkeypatch):
 
 
 def test_sweep_ledger_adds_up_per_stage(monkeypatch):
-    """Every key sweep charges the ledger once: N evaluations, and under
-    walk-sim between 1 and GROVER_RETRIES Grover runs when it has
-    survivors; each report stage shows the figure of its stage's last
-    call, the one on the verifying path."""
+    """No K5 input (K6,), K4 input (K5, K6) or resolve input (c*, K2', K4,
+    K5, K6) is swept twice.  Every sweep charges the ledger once: N
+    evaluations, and under walk-sim between 1 and GROVER_RETRIES Grover
+    runs when it has survivors; the figure it returns is what it charged,
+    and each report stage shows the figure of the sweep of the verifying
+    tuple's inputs."""
     report_names = {"k5": "k5", "k4": "k4", "resolve-k1": "resolve-k1-k2-k3"}
-    search = attack._search_candidates
+    search, peel_match = attack._search_candidates, attack._peel_match
+    resolve = attack.resolve_k1_k2_k3
+    current = {}                # stage -> inputs of its sweep in progress
 
+    def recording_peel_match(known, *rest):
+        stage = "k5" if len(known) == 2 else "k4"
+        current[stage] = tuple(int(k) for k in known[1:])
+        return peel_match(known, *rest)
+
+    def recording_resolve(c_star, k2_prime, pair_set, spec, k456, *rest):
+        current["resolve-k1"] = (c_star, k2_prime, *k456)
+        return resolve(c_star, k2_prime, pair_set, spec, k456, *rest)
+
+    monkeypatch.setattr(attack, "_peel_match", recording_peel_match)
+    monkeypatch.setattr(attack, "resolve_k1_k2_k3", recording_resolve)
     for spec, pair_set in resolve_instances():
         n = 1 << spec.word_width
         iters = grover_iterations(n, 1)
         for backend in ("classical", "walk-sim"):
-            calls = {stage: [] for stage in report_names}
+            sweeps = {stage: {} for stage in report_names}
 
             def counting_search(stage, *args):
                 stats = args[-1]
                 before = (stats.grover_queries.get(stage, 0),
                           stats.classical_evals.get(stage, 0))
-                out = search(stage, *args)
+                out, figure = search(stage, *args)
                 q = stats.grover_queries[stage] - before[0]
-                e = stats.classical_evals[stage] - before[1]
-                calls[stage].append((bool(out), q or e))
-                return out
+                assert stats.classical_evals[stage] - before[1] == n
+                assert figure == (q or n)
+                inputs = current.pop(stage)
+                assert inputs not in sweeps[stage], (spec, stage, inputs)
+                sweeps[stage][inputs] = (bool(out), figure)
+                return out, figure
 
             monkeypatch.setattr(attack, "_search_candidates", counting_search)
-            _, stats, stages = run_asr_attack(pair_set, spec,
-                                              backends=backend)
+            recovered, stats, stages = run_asr_attack(pair_set, spec,
+                                                      backends=backend)
+            k4, k5, k6 = recovered.subkeys[3:]
+            verifying = {"k5": (k6,), "k4": (k5, k6),
+                         "resolve-k1": (recovered.k1_xor_k3,
+                                        recovered.k2_prime, k4, k5, k6)}
             report = {s["name"]: s["queries"] for s in stages}
             for stage, name in report_names.items():
-                made = calls[stage]
+                made = sweeps[stage]
                 assert made, (spec, backend, stage)
                 assert stats.classical_evals[stage] == len(made) * n
                 queries = stats.grover_queries[stage]
                 if backend == "classical":
                     assert queries == 0
                 else:
-                    hits = sum(nonempty for nonempty, _ in made)
+                    hits = sum(nonempty for nonempty, _ in made.values())
                     assert queries % iters == 0
                     assert hits <= queries // iters <= GROVER_RETRIES * hits
-                assert report[name] == stats.last_call[stage] == made[-1][1]
+                assert report[name] == made[verifying[stage]][1]
+
+
+def test_classical_ledger_paper_vectors():
+    """Each distinct K5 and K4 input is swept once: 2 K6 values and 4
+    (K5, K6) pairs behind the 256 claws."""
+    _, stats, _ = run_asr_attack(paper_pair_set(with_extra=True),
+                                 vectors.SPEC)
+    assert stats.classical_evals == {"claw": 131072, "k5": 131072,
+                                     "k4": 262144, "resolve-k1": 65536}
+
+
+def test_recovered_subkeys_are_python_ints():
+    random_spec = FeistelSpec(word_width=8, round_function="random", seed=7)
+    cases = [(vectors.SPEC, paper_pair_set(with_extra=True), "classical"),
+             (vectors.SPEC, paper_pair_set(with_extra=True), "walk-sim"),
+             (vectors.SPEC, paper_pair_set(), "classical"),
+             (random_spec, make_pair_set(random_spec,
+                                         random_subkeys(random_spec, 3), 3),
+              "classical")]
+    for spec, pair_set, backend in cases:
+        recovered, _, _ = run_asr_attack(pair_set, spec, backends=backend)
+        assert [type(k) for k in recovered.subkeys] == [int] * 6, backend
 
 
 def test_full_attack_paper_vectors_with_extra_pair():

@@ -4,7 +4,7 @@ import pytest
 from clawbench.cipher import (FeistelSpec, feistel_decrypt, feistel_encrypt,
                               partial_decrypt, random_subkeys, simeck_f,
                               simeck_key_schedule, z_sequence)
-from clawbench.words import mask
+from clawbench.words import mask, rotl
 
 
 def test_simeck_f_known_value():
@@ -19,6 +19,14 @@ def test_simeck_f_widths_stay_closed():
         xs = rng.integers(0, 1 << w, size=256, dtype=np.uint32)
         out = simeck_f(xs, spec)
         assert np.all(out <= mask(w))
+
+
+def test_simeck_rotations_reduce_mod_width():
+    # rotations (5, 1); at width 4 rotation 5 is rotation 1
+    for w in range(4, 17):
+        xs = np.arange(1 << w, dtype=np.uint32)
+        want = (xs & rotl(xs, 5 % w, w)) ^ rotl(xs, 1, w)
+        assert np.array_equal(simeck_f(xs, FeistelSpec(word_width=w)), want)
 
 
 def test_round_f_is_one_shared_simeck_table():

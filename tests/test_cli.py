@@ -42,6 +42,20 @@ def test_cipher_input_errors(capsys):
     assert code == 3
 
 
+def test_usage_errors_exit_as_input_errors(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["attack", "run", "--retry-bound", "5"])
+    assert exc.value.code == 3
+    assert "unrecognized arguments: --retry-bound" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["attack", "run", "--backend", "nope"])
+    assert exc.value.code == 3
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: clawbench" in capsys.readouterr().out
+
+
 def test_keyschedule_report(capsys):
     code, out, _ = run_cli(capsys, "keyschedule",
                            "--master", "B0AEC7E9C3CEE6C3")
