@@ -20,6 +20,10 @@ rounds whose keys are already known (cipher.partial_decrypt), resolve
 included, and each stage's inputs are computed once: one claw census per
 attack, K1 ^ K3 once per (K2', K6, K5), one K5 sweep per K6 and one K4
 sweep per (K5, K6), each charged once and kept with its report figure.
+A sweep's survivors stay an ascending index array, and each later check
+takes the whole array in one call: the extra-pair filter runs once per
+K4 survivor set, the Simeck tie-break once per K1 survivor set.  Keys
+become Python ints only where they leave a stage.
 """
 
 import functools
@@ -97,8 +101,9 @@ def true_k2_prime(keys, constant_c, spec):
 
 
 def family_member(k1_star, k2_prime, c_star, constant_c, spec):
-    """The (K1, K2, K3) family member selected by K1 = k1_star, as ints."""
-    k2 = int(spec.round_f(2, k1_star ^ constant_c) ^ k2_prime)
+    """The (K1, K2, K3) family member selected by K1 = k1_star;
+    element-wise over an array of K1 values."""
+    k2 = spec.round_f(2, k1_star ^ constant_c) ^ k2_prime
     return k1_star, k2, c_star ^ k1_star
 
 
@@ -216,9 +221,10 @@ GROVER_RETRIES = 5
 
 
 def _search_candidates(stage, predicate, spec, backend, seed, stats):
-    """Candidate key values for one Grover-style stage, in ascending order
-    for both backends so the downstream pipeline is backend-independent,
-    and the stage's report figure: its quantum queries, or else N.
+    """Candidate key values for one Grover-style stage, as an ascending
+    index array for both backends so the downstream pipeline is
+    backend-independent, and the stage's report figure: its quantum
+    queries, or else N.
 
     predicate maps a numpy array of all 2^w candidates to a bool array.
     The grover backend also samples the survivors and verifies each
@@ -229,9 +235,9 @@ def _search_candidates(stage, predicate, spec, backend, seed, stats):
     n = 1 << spec.word_width
     xs = np.arange(n, dtype=np.uint32)
     truth = predicate(xs)
-    survivors = [int(x) for x in np.nonzero(truth)[0]]
+    survivors = np.flatnonzero(truth)
     queries = 0
-    if backend != "exhaustive" and survivors:
+    if backend != "exhaustive" and survivors.size:
         # iteration count assumes a single marked element; spurious
         # survivors are handled by reruns and classical verification
         iters = grover.grover_iterations(n, 1)
@@ -307,9 +313,20 @@ def _claw_candidates(problem, backend, seed, stats):
 
 def schedule_consistent(k1, k2, k5, spec):
     """Whether (K1, K2, K5) can come from the Simeck key schedule:
-    K5 = F(K2) ^ K1 ^ (2^w - 4) ^ z0 with z0 a single stream bit."""
+    K5 = F(K2) ^ K1 ^ (2^w - 4) ^ z0 with z0 a single stream bit.
+    Element-wise over arrays of K1 and K2."""
     resid = k5 ^ simeck_f(k2, spec) ^ k1 ^ (mask(spec.word_width) ^ 3)
-    return resid in (0, 1)
+    return resid <= 1
+
+
+def _extra_pair_filter(k456, c_star, pair_set, spec):
+    """Element-wise over K4 (k456 = (K4, K5, K6), K4 an int or an array):
+    the O(1) extra-pair filter of resolve_k1_k2_k3, which needs neither
+    K1 nor K2'.  The extra pair's ciphertext is peeled through rounds
+    6..4 to (L4, R4), and the test is L4 ^ F3(R4) ^ c* == R1 ^ F1(L1)."""
+    (l1, r1), ct = pair_set.extra_pair
+    l4, r4 = partial_decrypt(ct, (0, 0, 0, *k456), spec, 6, 4)
+    return l4 ^ spec.round_f(3, r4) ^ c_star == r1 ^ spec.round_f(1, l1)
 
 
 def resolve_k1_k2_k3(c_star, k2_prime, pair_set, spec, k456, backend,
@@ -319,14 +336,15 @@ def resolve_k1_k2_k3(c_star, k2_prime, pair_set, spec, k456, backend,
     K3), uniqueness, figure); figure is the K1 sweep's, 0 in family mode.
 
     Like every other stage this peels: the extra pair's ciphertext goes
-    back through rounds 6..4 once to the round-4 input (L4, R4).  With
+    back through rounds 6..4 to the round-4 input (L4, R4).  With
     a = R1 ^ F1(L1) the forward rounds 1-3 under the family member of K1
     (K2 = F2(K1 ^ C) ^ K2', K3 = K1 ^ c*) give
 
         L4 = a ^ c* ^ F3(L3)     R4 = L3 = L1 ^ F2(a ^ K1) ^ F2(C ^ K1) ^ K2'
 
-    so K1 cancels from the O(1) filter L4 ^ F3(R4) ^ c* == a, and a
-    tuple that passes it leaves the sweep
+    so K1 cancels from the O(1) filter L4 ^ F3(R4) ^ c* == a
+    (_extra_pair_filter, which run_asr_attack applies to each K4 survivor
+    set before calling this), and a tuple that passes it leaves the sweep
     F2(a ^ K1) ^ F2(C ^ K1) == R4 ^ L1 ^ K2'.  Rounds 4-6 are a
     bijection under the known keys, so filter and sweep together accept
     exactly the K1 that encrypt the extra pair over all six rounds.
@@ -335,37 +353,38 @@ def resolve_k1_k2_k3(c_star, k2_prime, pair_set, spec, k456, backend,
     function in rounds 1-3 the sweep is invariant under
     k1 -> k1 ^ a ^ C, so survivors come in pairs.  When the cipher uses
     the Simeck key schedule the consistency relation
-    K5 = F(K2) ^ K1 ^ (2^w - 4) ^ z0 breaks the tie; otherwise the
-    smallest survivor is reported and the ambiguity is flagged.
+    K5 = F(K2) ^ K1 ^ (2^w - 4) ^ z0, checked over the whole survivor
+    array at once, breaks the tie; otherwise the smallest survivor is
+    reported and the ambiguity is flagged.
     """
     c = pair_set.constant_c
-    if pair_set.extra_pair is None:
-        return (family_member(0, k2_prime, c_star, c, spec),
-                "equivalence-family", 0)
-    (l1, r1), ct = pair_set.extra_pair
-    l4, r4 = partial_decrypt(ct, (0, 0, 0, *k456), spec, 6, 4)
-    a = r1 ^ spec.round_f(1, l1)
-    if l4 ^ spec.round_f(3, r4) ^ c_star != a:
-        raise AttackError("no K1 satisfies the extra pair; upstream keys wrong")
-    target = r4 ^ l1 ^ k2_prime
-    cands, figure = _search_candidates(
-        "resolve-k1",
-        lambda xs: spec.round_f(2, xs ^ a) ^ spec.round_f(2, xs ^ c) == target,
-        spec, backend, seed, stats)
-    if not cands:
-        raise AttackError("no K1 satisfies the extra pair; upstream keys wrong")
-    uniqueness = "unique"
-    if len(cands) > 1:
-        uniqueness = "extra-pair-ambiguous"
-        if spec.round_function == "simeck":
-            sched = [k1 for k1 in cands if schedule_consistent(
-                *family_member(k1, k2_prime, c_star, c, spec)[:2], k456[1],
-                spec)]
-            if len(sched) == 1:
-                cands = sched
-                uniqueness = "unique"
-    return (family_member(cands[0], k2_prime, c_star, c, spec), uniqueness,
-            figure)
+    k1, uniqueness, figure = 0, "equivalence-family", 0
+    if pair_set.extra_pair is not None:
+        if not _extra_pair_filter(k456, c_star, pair_set, spec):
+            raise AttackError("no K1 satisfies the extra pair; "
+                              "upstream keys wrong")
+        (l1, r1), ct = pair_set.extra_pair
+        a = r1 ^ spec.round_f(1, l1)
+        target = _peeled_right(ct, k456, spec) ^ l1 ^ k2_prime
+        cands, figure = _search_candidates(
+            "resolve-k1",
+            lambda xs: spec.round_f(2, xs ^ a) ^ spec.round_f(2, xs ^ c)
+            == target,
+            spec, backend, seed, stats)
+        if not cands.size:
+            raise AttackError("no K1 satisfies the extra pair; "
+                              "upstream keys wrong")
+        uniqueness = "unique"
+        if cands.size > 1:
+            uniqueness = "extra-pair-ambiguous"
+            if spec.round_function == "simeck":
+                k1s, k2s, _ = family_member(cands, k2_prime, c_star, c, spec)
+                sched = cands[schedule_consistent(k1s, k2s, k456[1], spec)]
+                if sched.size == 1:
+                    cands, uniqueness = sched, "unique"
+        k1 = cands[0]
+    k123 = family_member(k1, k2_prime, c_star, c, spec)
+    return tuple(int(k) for k in k123), uniqueness, figure
 
 
 def run_asr_attack(pair_set, spec, backends="classical", seed=0):
@@ -410,13 +429,16 @@ def run_asr_attack(pair_set, spec, backends="classical", seed=0):
 
     for k2_prime, k6 in claws:
         k5s, k5_figure = sweep((k6,))
-        for k5 in k5s:
+        for k5 in k5s.tolist():
             try:
                 c_star = k1k3_constant(pair_set, k2_prime, k5, k6, spec)
             except AttackError:
                 continue
             k4s, k4_figure = sweep((k5, k6))
-            for k4 in k4s:
+            if pair_set.extra_pair is not None:
+                k4s = k4s[_extra_pair_filter((k4s, k5, k6), c_star,
+                                            pair_set, spec)]
+            for k4 in k4s.tolist():
                 try:
                     k123, uniqueness, resolve_figure = resolve_k1_k2_k3(
                         c_star, k2_prime, pair_set, spec, (k4, k5, k6),

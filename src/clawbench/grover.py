@@ -113,16 +113,27 @@ def grover_sample(predicate, n_items, seed, iterations=None, marked=None):
     grover_run_statevector is the reference it is tested against.  When
     marked is not given it is collected by a classical predicate scan;
     the ledger counts only the R oracle queries, and a caller that swept
-    the predicate classically charges that sweep itself.
+    the predicate classically charges that sweep itself.  marked is any
+    1-D sequence of distinct indices in [0, N); ascending input is checked
+    in one pass.
 
     Returns (index, ledger).  The caller verifies the sample classically.
     """
     rng = np.random.default_rng(seed)
     if marked is None:
         marked = [x for x in range(n_items) if predicate(x)]
-    if not marked:
+    marked = np.asarray(marked)
+    if not marked.size:
         raise ValueError("no marked element")
-    m = len(marked)
+    if marked.ndim != 1 or not np.issubdtype(marked.dtype, np.integer):
+        raise ValueError("marked must be a 1-D array of integer indices")
+    if np.any(marked[1:] <= marked[:-1]):
+        marked = np.sort(marked)
+        if np.any(marked[1:] == marked[:-1]):
+            raise ValueError("marked indices must be distinct")
+    if marked[0] < 0 or marked[-1] >= n_items:
+        raise ValueError(f"marked indices must lie in [0, {n_items})")
+    m = marked.size
     if iterations is None:
         iterations = grover_iterations(n_items, m)
     p_hit = grover_success_prob(n_items, m, iterations)

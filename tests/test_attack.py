@@ -8,9 +8,11 @@ from clawbench.attack import (GROVER_RETRIES, AttackError, ChosenPairSet,
                               make_chosen_plaintext, make_pair_set,
                               resolve_k1_k2_k3, run_asr_attack,
                               schedule_consistent, true_k2_prime)
-from clawbench.cipher import FeistelSpec, feistel_encrypt, random_subkeys
+from clawbench.cipher import (FeistelSpec, feistel_encrypt, random_subkeys,
+                              simeck_f, simeck_key_schedule)
 from clawbench.claw import find_claws_exhaustive, find_claws_sorted
 from clawbench.grover import grover_iterations
+from clawbench.words import mask
 
 from family_law import member_collides, rule_delta
 
@@ -228,27 +230,43 @@ def six_round_survivors(c_star, k2_prime, pair_set, spec, k456):
     return [int(x) for x in np.nonzero((left == ct[0]) & (right == ct[1]))[0]]
 
 
-def resolve_calls(monkeypatch, pair_set, spec):
-    """(tuple, survivors) for every resolve call of the classical attack;
-    survivors is [] when the O(1) filter rejects the tuple."""
-    calls = []
+def filtered_tuples(monkeypatch, pair_set, spec):
+    """Every (c*, K2', (K4, K5, K6), passed) tuple whose K4 survivor set
+    the classical attack sends through the extra-pair filter, and the
+    survivors of every resolve sweep, keyed by (c*, K2', (K4, K5, K6))."""
+    tuples, sweeps, current = [], {}, {}
+    constant, pair_filter = attack.k1k3_constant, attack._extra_pair_filter
     search, resolve = attack._search_candidates, attack.resolve_k1_k2_k3
 
+    def recording_constant(pair_set, k2_prime, *rest):
+        current["k2_prime"] = k2_prime
+        return constant(pair_set, k2_prime, *rest)
+
+    def recording_filter(k456, c_star, pair_set, spec):
+        passed = pair_filter(k456, c_star, pair_set, spec)
+        k4s, k5, k6 = k456
+        if np.ndim(k4s):        # the attack's call, not resolve's own
+            tuples.extend((c_star, current["k2_prime"], (k4, k5, k6), ok)
+                          for k4, ok in zip(k4s.tolist(), passed.tolist()))
+        return passed
+
     def recording_resolve(c_star, k2_prime, pair_set, spec, k456, *rest):
-        calls.append(((c_star, k2_prime, k456), []))
+        current["resolve"] = (c_star, k2_prime, k456)
         return resolve(c_star, k2_prime, pair_set, spec, k456, *rest)
 
     def recording_search(stage, *rest):
         out = search(stage, *rest)
         if stage == "resolve-k1":
-            calls[-1][1].extend(out[0])
+            sweeps[current.pop("resolve")] = out[0].tolist()
         return out
 
     with monkeypatch.context() as patch:
+        patch.setattr(attack, "k1k3_constant", recording_constant)
+        patch.setattr(attack, "_extra_pair_filter", recording_filter)
         patch.setattr(attack, "resolve_k1_k2_k3", recording_resolve)
         patch.setattr(attack, "_search_candidates", recording_search)
         run_asr_attack(pair_set, spec)
-    return calls
+    return tuples, sweeps
 
 
 def resolve_instances():
@@ -262,17 +280,83 @@ def resolve_instances():
 
 
 def test_resolve_survivors_equal_the_six_round_sweep(monkeypatch):
+    """The filter passes a (claw, K5, K4) tuple exactly when some K1
+    encrypts the extra pair over six rounds, and resolve's sweep of a
+    passing tuple leaves exactly those K1."""
     rejected = passed = 0
     for spec, pair_set in resolve_instances():
-        calls = resolve_calls(monkeypatch, pair_set, spec)
-        assert calls
-        for (c_star, k2_prime, k456), survivors in calls:
-            assert survivors == six_round_survivors(
-                c_star, k2_prime, pair_set, spec, k456), (spec, k456)
-            rejected += not survivors
-            passed += bool(survivors)
+        tuples, sweeps = filtered_tuples(monkeypatch, pair_set, spec)
+        assert tuples and sweeps
+        passing = set()
+        for c_star, k2_prime, k456, ok in tuples:
+            want = six_round_survivors(c_star, k2_prime, pair_set, spec, k456)
+            assert ok == bool(want), (spec, k456)
+            if ok:
+                passing.add((c_star, k2_prime, k456))
+            if (c_star, k2_prime, k456) in sweeps:
+                assert sweeps[(c_star, k2_prime, k456)] == want, (spec, k456)
+            rejected += not ok
+            passed += ok
+        assert set(sweeps) <= passing
     print(f"resolve: {passed} tuples passed the filter, {rejected} rejected")
     assert rejected > 0 and passed > 0
+
+
+def per_key_tie_break(cands, k2_prime, c_star, k5, constant_c, spec):
+    """Reference for resolve's tie-break: one scalar key-schedule check per
+    K1 survivor.  Returns (K1, uniqueness) as resolve reports them."""
+    sched = []
+    for k1 in cands:
+        k2 = int(spec.round_f(2, k1 ^ constant_c)) ^ k2_prime
+        resid = (k5 ^ simeck_f(k2, spec) ^ k1
+                 ^ (mask(spec.word_width) ^ 3))
+        if resid in (0, 1):
+            sched.append(k1)
+    if len(sched) == 1:
+        return sched[0], "unique"
+    return cands[0], "extra-pair-ambiguous"
+
+
+def simeck_instances():
+    for width, seeds in ((8, range(30)), (12, range(10))):
+        spec = FeistelSpec(word_width=width)
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            master = tuple(int(x) for x in
+                           rng.integers(0, 1 << width, size=4))
+            for keys in (simeck_key_schedule(master, 6, spec),
+                         random_subkeys(spec, seed)):
+                yield spec, make_pair_set(spec, keys, seed)
+
+
+def test_array_tie_break_equals_per_key_reference(monkeypatch):
+    search, resolve = attack._search_candidates, attack.resolve_k1_k2_k3
+    survivors = []
+    outcomes = {"unique": 0, "extra-pair-ambiguous": 0}
+
+    def recording_search(stage, *rest):
+        out = search(stage, *rest)
+        if stage == "resolve-k1":
+            survivors.append(out[0].tolist())
+        return out
+
+    def checked_resolve(c_star, k2_prime, pair_set, spec, k456, *rest):
+        out = resolve(c_star, k2_prime, pair_set, spec, k456, *rest)
+        (k1, _, _), uniqueness, _ = out
+        cands = survivors.pop()
+        if len(cands) > 1:
+            assert (k1, uniqueness) == per_key_tie_break(
+                cands, k2_prime, c_star, k456[1], pair_set.constant_c,
+                spec), (spec, k456)
+            outcomes[uniqueness] += 1
+        return out
+
+    monkeypatch.setattr(attack, "_search_candidates", recording_search)
+    monkeypatch.setattr(attack, "resolve_k1_k2_k3", checked_resolve)
+    for spec, pair_set in simeck_instances():
+        run_asr_attack(pair_set, spec)
+    print(f"tie-break: {outcomes}")
+    assert outcomes["unique"] > 0 and outcomes["extra-pair-ambiguous"] > 0
 
 
 def two_diff_match(known, want, pair_set, spec):
@@ -370,7 +454,7 @@ def test_sweep_ledger_adds_up_per_stage(monkeypatch):
                 assert figure == (q or n)
                 inputs = current.pop(stage)
                 assert inputs not in sweeps[stage], (spec, stage, inputs)
-                sweeps[stage][inputs] = (bool(out), figure)
+                sweeps[stage][inputs] = (out.size > 0, figure)
                 return out, figure
 
             monkeypatch.setattr(attack, "_search_candidates", counting_search)

@@ -124,8 +124,26 @@ def test_sample_draws_from_the_statevector_law():
         probs, _ = grover_run_statevector(inst)
         for seed in range(200):
             want = np.random.default_rng(seed).choice(n, p=probs / probs.sum())
+            given = (None, list(marked), np.array(marked))[seed % 3]
             idx, ledger = grover_sample(
                 lambda x: x in inst.marked, n, seed, iterations,
-                marked=list(marked) if seed % 2 else None)
+                marked=given)
             assert idx == want
             assert ledger.oracle_queries == inst.iterations
+
+
+@pytest.mark.parametrize("marked", [[-1], [8], [3, 3], np.array([5, 3, 5]),
+                                    np.array([[3, 5]]), [2.0], []])
+def test_sample_rejects_bad_marked_indices(marked):
+    # N = 8: out of range, duplicated, not 1-D, not integer, or empty
+    with pytest.raises(ValueError):
+        grover_sample(lambda x: False, 8, seed=0, marked=marked)
+
+
+def test_sample_takes_marked_in_any_order():
+    n, marked = 64, (3, 17, 40)
+    for seed in range(20):
+        draws = {grover_sample(None, n, seed, 6, marked=m)[0]
+                 for m in (list(marked), np.array(marked),
+                           np.array(marked[::-1], dtype=np.uint32))}
+        assert len(draws) == 1
