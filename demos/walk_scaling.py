@@ -24,7 +24,7 @@ def main():
         queries = sim.ledger.oracle_queries
         assert queries == ledger_law(params)
         print(f"{n:>6} {params.r1:>5} {params.t1:>3} {params.outer_reps:>5} "
-              f"{queries:>8} {2 * 2 * n:>9} {prob:>10.5f}")
+              f"{queries:>8} {2 * n:>9} {prob:>10.5f}")
         xs.append(math.log2(n))
         ys.append(math.log2(queries))
     slope = float(np.polyfit(xs, ys, 1)[0])

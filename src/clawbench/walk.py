@@ -18,7 +18,9 @@ Two exact simulators are provided:
   unique planted claw index j: A (j in S), B (j not in S, z == j),
   C (j not in S, z != j).  The walk dynamics close on class-uniform
   states, so 3x3 per-side matrices in closed form reproduce the full
-  simulator exactly; tests cross-validate the two.
+  simulator exactly; tests cross-validate the two.  A side's t steps are
+  the t-th power of its step matrix, so a collapsed run logs one norm
+  per outer repetition.
 
 All amplitudes stay real throughout (real initial state, real operators),
 so states are stored as float64 vectors.
@@ -64,6 +66,8 @@ def walk_params(m, n, multiplier=1.0):
     """
     if m < 2 or n < 2:
         raise ValueError("side domains must have at least 2 elements")
+    if not multiplier > 0:
+        raise ValueError(f"multiplier must be positive, got {multiplier}")
     rc = _cube_root_ceil(m * n)
     if m * m < n:                  # m < sqrt(n)
         r1, r2 = m, max(rc, m)
@@ -84,8 +88,9 @@ def ledger_law(params):
 
 
 def check_walk_steps(params):
-    """Refuse a run of more walk steps than the guard; a run logs one norm
-    per step, outer_reps * (t1 + t2) of them."""
+    """Refuse a run of more walk steps than the guard, outer_reps * (t1 +
+    t2) of them: the steps set the query count, while a collapsed run
+    logs only one norm per outer repetition."""
     steps = params.outer_reps * (params.t1 + params.t2)
     if steps > WALK_STEP_GUARD:
         raise CapacityError(f"walk of {steps} steps exceeds guard "
@@ -247,7 +252,8 @@ def _collapsed_step_matrix(n_side, r):
 
 
 class CollapsedWalkSim:
-    """Exact 9-state simulation for an instance with one planted claw."""
+    """Exact 9-state simulation for an instance with one planted claw; it
+    logs one norm per outer repetition."""
 
     def __init__(self, n_side, params):
         if params.r1 != params.r2:
@@ -261,7 +267,9 @@ class CollapsedWalkSim:
         side = np.sqrt(np.array([r / n_side, 1 / n_side,
                                  (n_side - r - 1) / n_side]))
         self.state = np.outer(side, side)
-        self.step = _collapsed_step_matrix(n_side, r)
+        step = _collapsed_step_matrix(n_side, r)
+        self.block1 = np.linalg.matrix_power(step, params.t1)
+        self.block2_t = np.linalg.matrix_power(step, params.t2).T
         self.ledger = QueryLedger()
         self.ledger.charge(2 * r)
         self.norm_log = [self.norm()]
@@ -269,25 +277,13 @@ class CollapsedWalkSim:
     def norm(self):
         return float(np.linalg.norm(self.state))
 
-    def phase_flip(self):
-        self.state[0, 0] = -self.state[0, 0]
-        self.norm_log.append(self.norm())
-
-    def walk_step(self, side):
-        if side == 1:
-            self.state = self.step @ self.state
-        else:
-            self.state = self.state @ self.step.T
-        self.norm_log.append(self.norm())
-        self.ledger.charge(2)
-
     def outer_rep(self):
-        """One phase flip followed by t1 and t2 walk steps."""
-        self.phase_flip()
-        for _ in range(self.params.t1):
-            self.walk_step(1)
-        for _ in range(self.params.t2):
-            self.walk_step(2)
+        """One phase flip, then t1 steps on side 1 and t2 on side 2 as the
+        precomputed powers step^t1 and (step^t2)^T."""
+        self.state[0, 0] = -self.state[0, 0]
+        self.state = self.block1 @ self.state @ self.block2_t
+        self.norm_log.append(self.norm())
+        self.ledger.charge(2 * (self.params.t1 + self.params.t2))
 
     def run(self):
         for _ in range(self.params.outer_reps):
@@ -349,6 +345,8 @@ def claw_walk_sample(problem, seed, mode="collapsed", params=None,
     comes before tuning: collapsed mode needs a unique claw, full mode a
     basis within the guard.
     """
+    if mode not in ("collapsed", "full"):
+        raise ValueError(f"unknown mode {mode!r}")
     rng = np.random.default_rng(seed)
     n = problem.n_side
     params = params or walk_params(n, n)
@@ -359,8 +357,6 @@ def claw_walk_sample(problem, seed, mode="collapsed", params=None,
     if mode == "collapsed" and len(all_claws) != 1:
         raise UniqueClawRequired(
             f"collapsed mode needs a unique claw, found {len(all_claws)}")
-    if mode not in ("collapsed", "full"):
-        raise ValueError(f"unknown mode {mode!r}")
     if mode == "full":
         check_full_basis(n, params.r1)
     if tune:

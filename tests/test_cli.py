@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from clawbench.claw import CapacityError
-from clawbench.cli import main
+from clawbench.claw import CapacityError, find_claws_sorted
+from clawbench.cli import main, planted_claw_problem
 from clawbench.walk import check_walk_steps, walk_params
 
 
@@ -225,6 +225,29 @@ def test_scaling_csv(capsys):
     assert len(baseline) == 3
     n, r, t1, t2, outer, queries, _, _ = collapsed[0].split(",")
     assert int(queries) == 2 * int(r) + int(outer) * (int(t1) + int(t2)) * 2
+
+
+def test_scaling_classical_row_charges_the_sorted_search(capsys):
+    code, out, _ = run_cli(capsys, "scaling", "--min-exp", "6",
+                           "--max-exp", "8")
+    assert code == 0
+    rows = [l.split(",") for l in out.splitlines()
+            if l.endswith(",classical-sorted")]
+    for u, row in zip(range(6, 9), rows, strict=True):
+        problem, _ = planted_claw_problem(u, seed=0)
+        assert int(row[0]) == 1 << u
+        assert int(row[5]) == find_claws_sorted(problem)[1]
+
+
+@pytest.mark.parametrize("multiplier", ["-1", "0", "nan"])
+def test_walk_commands_reject_a_multiplier_that_is_not_positive(
+        capsys, multiplier):
+    for argv in (("scaling", "--min-exp", "6", "--max-exp", "6"),
+                 ("sim-clawwalk", "--bits", "4")):
+        code, out, err = run_cli(capsys, *argv, "--multiplier", multiplier)
+        assert code == 3
+        assert out == ""
+        assert "multiplier must be positive" in err
 
 
 def test_scaling_refuses_step_count_before_any_run(capsys, monkeypatch):

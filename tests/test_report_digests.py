@@ -107,15 +107,15 @@ API_DIGESTS = {
     (3, 4, "walk-full"):
         "20a253288758c5604a9c8245ee8d62a192227e2edfa93eff414ef65efefaa343",
     (12, 0, "walk-sim"):
-        "670a942f0f1cd907d4ef00753048ddc6ea3e43b7fb40fd47c5aa6c956cb225da",
+        "43bdc8032ad91a0a1b78a2c911ed2a5fe90b69dc692fe9779155e24a5fd3acb3",
     (12, 1, "walk-sim"):
         "682741b97c6b172f531ec3d27160b399928eeca375e59c9064a4800268163951",
     (12, 2, "walk-sim"):
-        "413342b622dc2db02ddd6e6ce27666d74e2b27d8172fee443c9fe3dcae685f7a",
+        "80809766e666c93dbb27b6b0f294703a16a5a7d4b3679fe7d9291e56cb0a7aaf",
     (12, 3, "walk-sim"):
-        "c43990f4e4db3457b84ff6e31ba8daa46fe4ec6690568a18450fbb881e4d9604",
+        "0481e92e9229d3cc05e52f17341c81d906f2311a2d57b598b0df62cf31e463e6",
     (12, 4, "walk-sim"):
-        "64f54f5f07868e2327cc283dcee39db7b84c513d56d0991c49b987c91ab8ee10",
+        "803ca437dc26f29add8422ac779a4cbbb4d61a3ae9fca4f1aeded1caf53c13f4",
 }
 
 

@@ -1,8 +1,9 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from clawbench.claw import CapacityError, ClawProblem
 from clawbench.cli import planted_claw_problem
@@ -110,6 +111,61 @@ def test_full_walk_matches_collapsed_and_fine_is_only_logging(
     assert np.array_equal(fine.state, coarse.state)
 
 
+def stepwise_reference(n_side, params):
+    """The collapsed walk one single step at a time: per outer repetition a
+    phase flip, then t1 steps on side 1 and t2 on side 2, each logging the
+    norm.  Returns the success probability after every repetition, the
+    query count and the norm log."""
+    r = params.r1
+    side = np.sqrt(np.array([r, 1, n_side - r - 1]) / n_side)
+    state = np.outer(side, side)
+    step = _collapsed_step_matrix(n_side, r)
+    queries = 2 * r
+    norms = [np.linalg.norm(state)]
+    probs = []
+    for _ in range(params.outer_reps):
+        state[0, 0] = -state[0, 0]
+        norms.append(np.linalg.norm(state))
+        for _ in range(params.t1):
+            state = step @ state
+            norms.append(np.linalg.norm(state))
+            queries += 2
+        for _ in range(params.t2):
+            state = state @ step.T
+            norms.append(np.linalg.norm(state))
+            queries += 2
+        probs.append(float(state[0, 0] ** 2))
+    return probs, queries, norms
+
+
+@settings(max_examples=60, deadline=None)
+@example(n_side=1 << 12, multiplier=2, extra_t2=3)
+@given(n_side=st.integers(4, 1 << 12),
+       multiplier=st.sampled_from((0.5, 1, 2)),
+       extra_t2=st.sampled_from((0, 0, 1, 3)))
+def test_block_walk_matches_stepwise_reference(n_side, multiplier,
+                                               extra_t2):
+    params = walk_params(n_side, n_side, multiplier)
+    params = replace(params, t2=params.t2 + extra_t2)
+    # the tuning scan: three times the base count of repetitions
+    scan = replace(params, outer_reps=3 * params.outer_reps)
+    want, queries, norms = stepwise_reference(n_side, scan)
+    sim = CollapsedWalkSim(n_side, scan)
+    got = []
+    for _ in range(scan.outer_reps):
+        sim.outer_rep()
+        got.append(sim.success_prob())
+    assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-13
+    assert sim.ledger.oracle_queries == queries == ledger_law(scan)
+    assert max(abs(v - 1.0) for v in norms) < 1e-12
+    assert sim.norm_drift() < 1e-12
+    # a run is a prefix of the scan, and tuning picks the same count
+    run = CollapsedWalkSim(n_side, params).run()
+    assert run == got[params.outer_reps - 1]
+    assert (tune_outer_reps(n_side, params).outer_reps
+            == want.index(max(want)) + 1)
+
+
 def test_ledger_matches_law_on_runs():
     for n_side in (8, 16):
         params = walk_params(n_side, n_side)
@@ -178,6 +234,16 @@ def test_collapsed_requires_unique_claw(monkeypatch):
     monkeypatch.setattr("clawbench.walk.tune_outer_reps", None)
     with pytest.raises(UniqueClawRequired):
         claw_walk_sample(problem, seed=0, mode="collapsed")
+
+
+def test_claw_walk_sample_checks_mode_before_the_census(monkeypatch):
+    def no_census(problem):
+        raise AssertionError("claw census built before the mode check")
+
+    monkeypatch.setattr("clawbench.walk.find_claws_exhaustive", no_census)
+    problem, _ = planted_claw_problem(3, seed=0)
+    with pytest.raises(ValueError, match="unknown mode"):
+        claw_walk_sample(problem, seed=0, mode="bogus")
 
 
 def test_claw_walk_sample_finds_planted_claw():
