@@ -42,6 +42,10 @@ class AttackError(RuntimeError):
     """Malformed input set or failed final verification."""
 
 
+class PairSetError(AttackError):
+    """Malformed pair set: an input error, not a failed attack."""
+
+
 @dataclass
 class ChosenPairSet:
     """Three rule pairs (plus optional non-rule extra pair) and their
@@ -53,20 +57,21 @@ class ChosenPairSet:
 
     def validate(self, spec):
         if len(self.pairs) != 3:
-            raise AttackError(f"need exactly 3 rule pairs, got {len(self.pairs)}")
+            raise PairSetError(
+                f"need exactly 3 rule pairs, got {len(self.pairs)}")
         check_word(self.constant_c, spec.word_width)
         seen = set()
         for (l1, r1), _ct in self.pairs:
             if spec.round_f(1, l1) ^ r1 != self.constant_c:
-                raise AttackError(f"pair with L1={l1:#x} violates the "
-                                  "plaintext selection rule")
+                raise PairSetError(f"pair with L1={l1:#x} violates the "
+                                   "plaintext selection rule")
             if l1 in seen:
-                raise AttackError("rule pairs must have distinct L1 values")
+                raise PairSetError("rule pairs must have distinct L1 values")
             seen.add(l1)
         if self.extra_pair is not None:
             (l1, r1), _ct = self.extra_pair
             if spec.round_f(1, l1) ^ r1 == self.constant_c:
-                raise AttackError("extra pair must violate the selection rule")
+                raise PairSetError("extra pair must violate the selection rule")
 
 
 def make_chosen_plaintext(l1, constant_c, spec):
@@ -74,16 +79,16 @@ def make_chosen_plaintext(l1, constant_c, spec):
     return l1, spec.round_f(1, l1) ^ constant_c
 
 
-def make_pair_set(spec, keys, seed, constant_c=None, with_extra=True):
+def make_pair_set(spec, keys, seed, with_extra=True):
     """Synthetic attack instance: rule pairs under a hidden key.
 
-    L1 values are drawn distinct uniformly from the seeded generator; the
-    extra pair flips one R1 bit so it violates the rule.
+    The constant C and distinct L1 values are drawn uniformly from the
+    seeded generator; the extra pair, drawn last, flips one R1 bit so it
+    violates the rule.
     """
     rng = np.random.default_rng(seed)
     n = 1 << spec.word_width
-    if constant_c is None:
-        constant_c = int(rng.integers(0, n))
+    constant_c = int(rng.integers(0, n))
     l1s = [int(x) for x in rng.choice(n, size=3, replace=False)]
     pairs = []
     for l1 in l1s:
@@ -263,14 +268,9 @@ class RecoveredKeys:
 
 
 def _verify(pair_set, keys, spec):
-    for pt, ct in pair_set.pairs:
-        if feistel_encrypt(pt, keys, spec) != ct:
-            return False
-    if pair_set.extra_pair is not None:
-        pt, ct = pair_set.extra_pair
-        if feistel_encrypt(pt, keys, spec) != ct:
-            return False
-    return True
+    extra = () if pair_set.extra_pair is None else (pair_set.extra_pair,)
+    return all(feistel_encrypt(pt, keys, spec) == ct
+               for pt, ct in (*pair_set.pairs, *extra))
 
 
 BACKEND_PRESETS = {
@@ -402,21 +402,15 @@ def run_asr_attack(pair_set, spec, backends="classical", seed=0):
         raise ValueError(f"unknown backend {backends!r}")
     backends = BACKEND_PRESETS[backends]
     stats = QueryStats()
-    stages = []
-    w = spec.word_width
 
     problem = build_claw_problem(pair_set, spec)
     claws, claw_backend = _claw_candidates(problem, backends["claw"],
                                            seed, stats)
-    stages.append({"name": "claw-k2prime-k6", "backend": claw_backend,
-                   "queries": stats.claw_queries
-                   or stats.classical_evals["claw"],
-                   "result_hex": [[word_to_hex(a, w), word_to_hex(b, w)]
-                                  for a, b in claws]})
     if not claws:
         raise AttackError("no claw found: malformed pair set, reject")
 
     l1_diffs = [_plaintext_left_diff(pair_set, p) for p in (2, 3)]
+    search = backends["search"]
 
     @functools.cache
     def sweep(known):
@@ -425,15 +419,19 @@ def run_asr_attack(pair_set, spec, backends="classical", seed=0):
                                else ("k4", (0, 0), 2))
         return _search_candidates(
             stage, lambda xs: _peel_match((xs, *known), want, pair_set, spec),
-            spec, backends["search"], seed + offset, stats)
+            spec, search, seed + offset, stats)
+
+    def hexed(value):
+        """word_to_hex over a word or nested lists and tuples of words."""
+        if isinstance(value, (list, tuple)):
+            return [hexed(v) for v in value]
+        return word_to_hex(value, spec.word_width)
 
     for k2_prime, k6 in claws:
         k5s, k5_figure = sweep((k6,))
         for k5 in k5s.tolist():
-            try:
-                c_star = k1k3_constant(pair_set, k2_prime, k5, k6, spec)
-            except AttackError:
-                continue
+            # K5 cancels between pairs, so a claw's pairs always agree here
+            c_star = k1k3_constant(pair_set, k2_prime, k5, k6, spec)
             k4s, k4_figure = sweep((k5, k6))
             if pair_set.extra_pair is not None:
                 k4s = k4s[_extra_pair_filter((k4s, k5, k6), c_star,
@@ -442,29 +440,24 @@ def run_asr_attack(pair_set, spec, backends="classical", seed=0):
                 try:
                     k123, uniqueness, resolve_figure = resolve_k1_k2_k3(
                         c_star, k2_prime, pair_set, spec, (k4, k5, k6),
-                        backends["search"], seed + 3, stats)
+                        search, seed + 3, stats)
                 except AttackError:
                     continue
                 keys = (*k123, k4, k5, k6)
-                if _verify(pair_set, keys, spec):
-                    stages.append({"name": "k5", "backend": backends["search"],
-                                   "queries": k5_figure,
-                                   "result_hex": word_to_hex(k5, w)})
-                    stages.append({"name": "k4", "backend": backends["search"],
-                                   "queries": k4_figure,
-                                   "result_hex": word_to_hex(k4, w)})
-                    stages.append({"name": "k1-xor-k3", "backend": "direct",
-                                   "queries": 3,
-                                   "result_hex": word_to_hex(c_star, w)})
-                    stages.append({"name": "resolve-k1-k2-k3",
-                                   "backend": backends["search"]
-                                   if pair_set.extra_pair else "family",
-                                   "queries": resolve_figure,
-                                   "result_hex": [word_to_hex(x, w)
-                                                  for x in k123]})
-                    recovered = RecoveredKeys(keys, k2_prime, c_star,
-                                              uniqueness)
-                    return recovered, stats, stages
+                if not _verify(pair_set, keys, spec):
+                    continue
+                rows = (("claw-k2prime-k6", claw_backend, stats.claw_queries
+                         or stats.classical_evals["claw"], claws),
+                        ("k5", search, k5_figure, k5),
+                        ("k4", search, k4_figure, k4),
+                        ("k1-xor-k3", "direct", 3, c_star),
+                        ("resolve-k1-k2-k3", search if pair_set.extra_pair
+                         else "family", resolve_figure, k123))
+                stages = [{"name": name, "backend": backend, "queries": figure,
+                           "result_hex": hexed(result)}
+                          for name, backend, figure, result in rows]
+                recovered = RecoveredKeys(keys, k2_prime, c_star, uniqueness)
+                return recovered, stats, stages
     raise AttackError("attack failed: no key candidate verified")
 
 

@@ -1,19 +1,20 @@
 """Command-line surface.
 
 Exit codes: 0 success, 2 failed verification, 3 input error (a command
-line that does not parse included), 4 capacity guard refusal.  All runs
-are reproducible from (flags, seed); reports are byte-identical for
-identical configurations.
+line that does not parse and a malformed pair set included), 4 capacity
+guard refusal.  All runs are reproducible from (flags, seed); reports are
+byte-identical for identical configurations.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 
 import numpy as np
 
 from . import vectors
-from .attack import (AttackError, BACKEND_PRESETS, ChosenPairSet,
+from .attack import (AttackError, BACKEND_PRESETS, ChosenPairSet, PairSetError,
                      attack_report, make_pair_set, run_asr_attack)
 from .cipher import (FeistelSpec, feistel_decrypt, feistel_encrypt,
                      key_schedule_report, random_subkeys,
@@ -62,13 +63,16 @@ def _subkeys_from_args(args, spec):
     raise CliInputError("provide --master or --subkeys")
 
 
-def _emit(args, payload):
-    text = json.dumps(payload, indent=2, sort_keys=True)
+def _write(args, text):
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _emit(args, payload):
+    _write(args, json.dumps(payload, indent=2, sort_keys=True))
 
 
 def cmd_cipher(args):
@@ -109,31 +113,29 @@ def _load_pairs_file(path, width):
     return ChosenPairSet(constant, pairs, extra)
 
 
-def _paper_pair_set(with_extra):
-    extra = vectors.EXTRA_PAIR if with_extra else None
-    pairs = tuple(zip(vectors.PLAINTEXTS, vectors.CIPHERTEXTS))
-    return ChosenPairSet(vectors.CONSTANT_C, pairs, extra)
-
-
 def cmd_attack(args):
     spec = FeistelSpec(word_width=args.width, rounds=6)
     notes = []
     if args.vectors == "paper":
         if args.width != 16:
             raise CliInputError("--vectors paper requires --width 16")
-        with_extra = args.extra_pair is not False
-        pair_set = _paper_pair_set(with_extra)
+        pairs = tuple(zip(vectors.PLAINTEXTS, vectors.CIPHERTEXTS))
+        pair_set = ChosenPairSet(vectors.CONSTANT_C, pairs, vectors.EXTRA_PAIR)
         notes = [dict(t) for t in vectors.KNOWN_TYPOS]
     elif args.pairs:
         pair_set = _load_pairs_file(args.pairs, args.width)
     else:
-        keys = random_subkeys(spec, args.random_seed)
-        with_extra = args.extra_pair is not False
-        pair_set = make_pair_set(spec, keys, args.random_seed,
-                                 with_extra=with_extra)
+        seed = args.random_seed or 0
+        pair_set = make_pair_set(spec, random_subkeys(spec, seed), seed)
+    if args.extra_pair is False:
+        pair_set = dataclasses.replace(pair_set, extra_pair=None)
+    elif args.extra_pair and pair_set.extra_pair is None:
+        raise CliInputError("--extra-pair: the pair file has no extra pair")
     try:
         recovered, stats, stages = run_asr_attack(
             pair_set, spec, backends=args.backend, seed=args.seed)
+    except PairSetError as exc:
+        raise CliInputError(f"malformed pair set: {exc}") from None
     except AttackError as exc:
         print(f"attack failed: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
@@ -186,9 +188,7 @@ def cmd_sim_clawwalk(args):
     _emit(args, {
         "bits": args.bits,
         "mode": args.mode,
-        "params": {"r1": result.params.r1, "r2": result.params.r2,
-                   "t1": result.params.t1, "t2": result.params.t2,
-                   "outer_reps": result.params.outer_reps},
+        "params": dataclasses.asdict(result.params),
         "planted_claw": list(planted),
         "sampled_claw": list(result.claw) if result.claw else None,
         "success_prob": result.success_prob,
@@ -200,6 +200,8 @@ def cmd_sim_clawwalk(args):
 
 
 def cmd_scaling(args):
+    if args.min_exp > args.max_exp:
+        raise CliInputError("--min-exp exceeds --max-exp: empty sweep")
     # refuse before the first run: the guard bounds walk steps, though a
     # collapsed run logs only one norm per outer repetition
     runs = []
@@ -224,12 +226,7 @@ def cmd_scaling(args):
         except (CapacityError, ValueError) as exc:
             rows.append(f"{n},,,,,,,skipped: {exc}")
         rows.append(f"{n},,,,,{2 * n},1,classical-sorted")
-    text = "\n".join(rows)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(args, "\n".join(rows))
     return EXIT_OK
 
 
@@ -288,11 +285,13 @@ def build_parser():
     p = sub.add_parser("attack", help="run the all-subkeys-recovery attack")
     p.add_argument("action", choices=["run"])
     p.add_argument("--width", type=int, default=16)
-    p.add_argument("--vectors", choices=["paper"],
-                   help="use the bundled reference worked example")
-    p.add_argument("--pairs", help="JSON pair file")
-    p.add_argument("--random-seed", type=int, default=0,
-                   help="generate an instance from a hidden key")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--vectors", choices=["paper"],
+                        help="use the bundled reference worked example")
+    source.add_argument("--pairs", help="JSON pair file")
+    # no default 0: argparse misses a conflict whose value is the default
+    source.add_argument("--random-seed", type=int,
+                        help="generate an instance from a hidden key")
     p.add_argument("--backend", choices=sorted(BACKEND_PRESETS),
                    default="classical")
     p.add_argument("--extra-pair", action=argparse.BooleanOptionalAction,

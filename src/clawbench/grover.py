@@ -53,6 +53,8 @@ class GroverInstance:
                 f"marked indices must lie in [0, {self.n_items})")
         if self.iterations is None:
             self.iterations = grover_iterations(self.n_items, len(self.marked))
+        if self.iterations < 0:
+            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
 
 
 @dataclass

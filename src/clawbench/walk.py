@@ -216,14 +216,14 @@ class FullWalkSim:
     def norm_drift(self):
         return max(abs(v - 1.0) for v in self.norm_log)
 
-    def sample(self, rng):
-        """Measure (S1, z1, S2, z2); returns the pair of subsets."""
+    def measure(self, rng, claws):
+        """Measure (S1, z1, S2, z2); returns the first of claws inside the
+        measured subsets S1, S2, or None."""
         probs = (self.state ** 2).ravel()
         pick = rng.choice(probs.size, p=probs / probs.sum())
         d = len(self.basis)
-        s1 = self.basis[pick // d][0]
-        s2 = self.basis[pick % d][0]
-        return s1, s2
+        s1, s2 = self.basis[pick // d][0], self.basis[pick % d][0]
+        return next(((a, b) for a, b in claws if a in s1 and b in s2), None)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +261,6 @@ class CollapsedWalkSim:
         r = params.r1
         if not (1 <= r < n_side):
             raise ValueError(f"need 1 <= r < N, got r={r}, N={n_side}")
-        self.n_side = n_side
         self.params = params
         # class weights: |A| / D = r/N, |B| / D = 1/N, |C| / D = (N-r-1)/N
         side = np.sqrt(np.array([r / n_side, 1 / n_side,
@@ -292,6 +291,10 @@ class CollapsedWalkSim:
 
     def success_prob(self):
         return float(self.state[0, 0] ** 2)
+
+    def measure(self, rng, claws):
+        """The unique claw with the success probability, else None."""
+        return claws[0] if rng.random() < self.success_prob() else None
 
     def norm_drift(self):
         return max(abs(v - 1.0) for v in self.norm_log)
@@ -365,16 +368,10 @@ def claw_walk_sample(problem, seed, mode="collapsed", params=None,
            else FullWalkSim(n, params, all_claws))
     prob = sim.run()
     total = QueryLedger()
-    for attempt in range(1, max_retries + 1):
+    found, retries = None, 0
+    while found is None and retries < max_retries:
+        retries += 1
         total.charge(sim.ledger.oracle_queries)
-        if mode == "collapsed":
-            found = all_claws[0] if rng.random() < prob else None
-        else:
-            s1, s2 = sim.sample(rng)
-            found = next(((a, b) for a, b in all_claws
-                          if a in s1 and b in s2), None)
-        if found is not None:
-            return WalkResult(prob, found, total, params, sim.norm_drift(),
-                              retries=attempt, all_claws=all_claws)
-    return WalkResult(prob, None, total, params, sim.norm_drift(),
-                      retries=max_retries, all_claws=all_claws)
+        found = sim.measure(rng, all_claws)
+    return WalkResult(prob, found, total, params, sim.norm_drift(),
+                      retries=retries, all_claws=all_claws)

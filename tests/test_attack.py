@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from clawbench import attack, vectors
+from clawbench import attack, vectors, walk
 from clawbench.attack import (GROVER_RETRIES, AttackError, ChosenPairSet,
                               QueryStats, build_claw_problem, diff_f, diff_g,
                               family_member, k1k3_constant, k3_check_paper,
@@ -136,6 +136,49 @@ def test_k1k3_constant_rejects_wrong_upstream_keys():
     with pytest.raises(AttackError):
         k1k3_constant(paper_pair_set(), vectors.K2_PRIME ^ 1,
                       vectors.SUBKEYS[4], vectors.SUBKEYS[5], spec)
+
+
+def k1k3_identity_instances():
+    """Simeck (schedule keys) and random-F w=8 instances."""
+    for seed in range(5):
+        spec = FeistelSpec(word_width=8)
+        master = tuple(int(x) for x in
+                       np.random.default_rng(seed).integers(0, 256, size=4))
+        keys = simeck_key_schedule(master, 6, spec)
+        yield spec, make_pair_set(spec, keys, seed)
+        spec = FeistelSpec(word_width=8, round_function="random", seed=7)
+        yield spec, make_pair_set(spec, random_subkeys(spec, seed), seed)
+
+
+def test_k1k3_constant_is_defined_for_every_claw_and_k5():
+    # Round 5 decrypts as R5 = L6 ^ F5(R6) ^ K5: K5 enters every pair's
+    # value as a plain XOR and cancels between pairs, and what is left of
+    # the pair-1/pair-p difference is diff_g(K6, p) ^ diff_f(K2', p), zero
+    # for every claw.  So run_asr_attack calls k1k3_constant unguarded.
+    for spec, pair_set in k1k3_identity_instances():
+        claws, _ = find_claws_sorted(build_claw_problem(pair_set, spec))
+        assert claws
+        for k2p, k6 in claws:
+            c0 = k1k3_constant(pair_set, k2p, 0, k6, spec)
+            for k5 in range(1, 256):
+                assert k1k3_constant(pair_set, k2p, k5, k6, spec) == c0 ^ k5
+
+
+def test_claw_stage_reports_exhausted_walk_retries(monkeypatch):
+    spec = FeistelSpec(word_width=8, round_function="random", seed=7)
+    keys = random_subkeys(spec, 1)
+    pair_set = make_pair_set(spec, keys, 1)
+    census, _ = find_claws_sorted(build_claw_problem(pair_set, spec))
+    assert len(census) == 1                 # the walk runs: a unique claw
+    monkeypatch.setattr(walk.CollapsedWalkSim, "measure",
+                        lambda self, rng, claws: None)
+    recovered, stats, stages = run_asr_attack(pair_set, spec, "walk-sim")
+    assert stages[0]["backend"] == "walk-collapsed->exhausted"
+    assert stages[0]["result_hex"] == [[f"{a:02X}", f"{b:02X}"]
+                                       for a, b in sorted(census)]
+    params = walk.tune_outer_reps(256, walk.walk_params(256, 256))
+    assert stats.claw_queries == 400 * walk.ledger_law(params)
+    assert recovered.subkeys[3:] == keys[3:]
 
 
 def test_family_members_collide_on_rule_plaintexts():

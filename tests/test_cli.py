@@ -145,6 +145,66 @@ def test_attack_corrupted_pairs_rejected(tmp_path, capsys):
     assert code == 2
 
 
+PAPER_PAIRS = [
+    {"plaintext": "CDF5|E8B4", "ciphertext": "BE3A|8ECF"},
+    {"plaintext": "C191|7CDD", "ciphertext": "544D|F9EA"},
+    {"plaintext": "D0C4|4EE7", "ciphertext": "63CB|541A"},
+]
+
+
+def write_pairs(tmp_path, pairs, extra=None):
+    pair_file = tmp_path / "pairs.json"
+    pair_file.write_text(json.dumps({"constant_c": "FFEE", "pairs": pairs,
+                                     "extra_pair": extra}))
+    return str(pair_file)
+
+
+@pytest.mark.parametrize("pairs, extra, message", [
+    (PAPER_PAIRS[:2], None, "need exactly 3 rule pairs, got 2"),
+    ([{"plaintext": "CDF5|E8B5", "ciphertext": "BE3A|8ECF"}]
+     + PAPER_PAIRS[1:], None, "violates the plaintext selection rule"),
+    ([PAPER_PAIRS[0]] * 3, None, "distinct L1"),
+    # F(0) = 0, so L1 = 0000 with R1 = C satisfies the rule
+    (PAPER_PAIRS, {"plaintext": "0000|FFEE", "ciphertext": "0000|0000"},
+     "extra pair must violate the selection rule"),
+], ids=["two-pairs", "rule-violated", "duplicate-l1", "extra-obeys-rule"])
+def test_attack_malformed_pair_set_is_an_input_error(tmp_path, capsys, pairs,
+                                                     extra, message):
+    code, out, err = run_cli(capsys, "attack", "run", "--pairs",
+                             write_pairs(tmp_path, pairs, extra))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("input error: ") and message in err
+
+
+def test_attack_instance_sources_are_exclusive(tmp_path, capsys):
+    pair_file = write_pairs(tmp_path, PAPER_PAIRS)
+    for argv in (("--vectors", "paper", "--pairs", pair_file),
+                 ("--pairs", pair_file, "--random-seed", "5"),
+                 ("--vectors", "paper", "--random-seed", "0")):
+        with pytest.raises(SystemExit) as exc:
+            main(["attack", "run", *argv])
+        assert exc.value.code == 3
+        assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_attack_extra_pair_flags_apply_to_a_pair_file(tmp_path, capsys):
+    extra = {"plaintext": "0000|0000", "ciphertext": "BEDD|19A8"}
+    with_extra = write_pairs(tmp_path, PAPER_PAIRS, extra)
+    code, out, _ = run_cli(capsys, "attack", "run", "--pairs", with_extra,
+                           "--no-extra-pair")
+    assert code == 0
+    report = json.loads(out)
+    assert report["data_complexity"] == 3
+    assert report["recovered"]["uniqueness"] == "equivalence-family"
+    without_extra = write_pairs(tmp_path, PAPER_PAIRS)
+    code, out, err = run_cli(capsys, "attack", "run", "--pairs",
+                             without_extra, "--extra-pair")
+    assert code == 3
+    assert out == ""
+    assert "no extra pair" in err
+
+
 def test_attack_vectors_require_width_16(capsys):
     code, _, _ = run_cli(capsys, "attack", "run", "--width", "8",
                          "--vectors", "paper")
@@ -167,6 +227,14 @@ def test_sim_grover_rejects_marked_outside_items(capsys):
         assert code == 3
         assert out == ""
         assert "marked indices" in err
+
+
+def test_sim_grover_rejects_negative_iterations(capsys):
+    code, out, err = run_cli(capsys, "sim-grover", "--items", "8",
+                             "--marked", "1", "--iterations", "-1")
+    assert code == 3
+    assert out == ""
+    assert "iterations must be >= 0" in err
 
 
 def test_sim_grover_capacity_guard(capsys):
@@ -237,6 +305,14 @@ def test_scaling_classical_row_charges_the_sorted_search(capsys):
         problem, _ = planted_claw_problem(u, seed=0)
         assert int(row[0]) == 1 << u
         assert int(row[5]) == find_claws_sorted(problem)[1]
+
+
+def test_scaling_rejects_an_empty_range(capsys):
+    code, out, err = run_cli(capsys, "scaling", "--min-exp", "8",
+                             "--max-exp", "6")
+    assert code == 3
+    assert out == ""
+    assert "empty sweep" in err
 
 
 @pytest.mark.parametrize("multiplier", ["-1", "0", "nan"])

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from clawbench.claw import CapacityError, ClawProblem
+from clawbench.claw import (CapacityError, ClawProblem,
+                            find_claws_exhaustive)
 from clawbench.cli import planted_claw_problem
 from clawbench.walk import (CollapsedWalkSim, FullWalkSim, UniqueClawRequired,
                             WalkParams, _collapsed_step_matrix, _reflect,
@@ -254,6 +255,18 @@ def test_claw_walk_sample_finds_planted_claw():
     # the ledger charges every attempt
     per_run = ledger_law(result.params)
     assert result.ledger.oracle_queries == result.retries * per_run
+
+
+@pytest.mark.parametrize("mode", ["collapsed", "full"])
+def test_claw_walk_sample_reports_exhausted_retries(mode):
+    # success probability 0.0475 per measurement; seed 1 misses three times
+    problem, _ = planted_claw_problem(3, seed=1)
+    result = claw_walk_sample(problem, seed=1, mode=mode, tune=False,
+                              max_retries=3)
+    assert result.claw is None
+    assert result.retries == 3
+    assert result.ledger.oracle_queries == 3 * ledger_law(result.params)
+    assert result.all_claws == find_claws_exhaustive(problem)
 
 
 def test_claw_walk_sample_full_mode(monkeypatch):
