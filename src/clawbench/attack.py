@@ -15,15 +15,23 @@ extra pair violating the rule cuts the family down to a few candidates
 implements the round-1 matching predicate literally to demonstrate that
 it is independent of K3 on rule pairs.
 
-Every stage after the claw works by peeling ciphertexts back through the
-rounds whose keys are already known (cipher.partial_decrypt), resolve
-included, and each stage's inputs are computed once: one claw census per
-attack, K1 ^ K3 once per (K2', K6, K5), one K5 sweep per K6 and one K4
-sweep per (K5, K6), each charged once and kept with its report figure.
-A sweep's survivors stay an ascending index array, and each later check
-takes the whole array in one call: the extra-pair filter runs once per
-K4 survivor set, the Simeck tie-break once per K1 survivor set.  Keys
-become Python ints only where they leave a stage.
+Every stage after the claw peels ciphertexts back through the rounds
+whose keys are already known, resolve included, and every full-domain
+key sweep is a derivative of one round function: by the peel lemma
+(_peel_terms), a two-pair matching equation over all 2^w keys k is
+F_r(y) ^ F_r(y ^ d) == t at y = k ^ e, with e and t from one scalar
+cipher.partial_decrypt per ciphertext.  It costs one unshifted and one
+XOR-shifted table read over the domain and decrypts no array.  The K5
+and K4 sweeps, resolve's K1 sweep and the claw's g side (diff_g) all
+take that form.
+
+Each stage's inputs are computed once: one claw census per attack,
+K1 ^ K3 once per (K2', K6, K5), one K5 sweep per K6 and one K4 sweep per
+(K5, K6), each charged once and kept with its report figure.  A sweep's
+survivors stay an ascending index array, and each later check takes the
+whole array in one call: the extra-pair filter runs once per K4 survivor
+set, the Simeck tie-break once per K1 survivor set.  Keys become Python
+ints only where they leave a stage.
 """
 
 import functools
@@ -119,38 +127,54 @@ def family_member(k1_star, k2_prime, c_star, constant_c, spec):
 # so that round runs with key 0.
 
 
-def _peeled_right(ct, known, spec):
-    """Right half of the round-r input state, r = 7 - len(known), from
-    decrypting rounds 6..r with known = (K_r, ..., K_6)."""
-    r = 7 - len(known)
-    return partial_decrypt(ct, (0,) * (r - 1) + tuple(known), spec, 6, r)[1]
+def _peel_terms(ct, known, spec):
+    """The peel lemma's (l, e) of one ciphertext, as ints, for
+    known = (K_(r+2), ..., K_6), r = 5 - len(known).
 
-
-def _peel_diff(known, pair_set, pair_idx, spec):
-    """Round-r right-half difference of pair 1 and pair pair_idx, peeling
-    with known = (K_(r+1), ..., K_6) and K_r = 0."""
-    if pair_idx not in (2, 3):
-        raise ValueError("pair_idx must be 2 or 3")
-    keys = (0, *known)
-    return (_peeled_right(pair_set.pairs[0][1], keys, spec)
-            ^ _peeled_right(pair_set.pairs[pair_idx - 1][1], keys, spec))
-
-
-def _peel_match(known, want, pair_set, spec):
-    """Element-wise over the swept key known[0] (an array): pairs 2 and 3
-    peel to the differences want[0], want[1] from pair 1.
-
-    Pair 1 is peeled once for both equations, and pair 3 only for the
-    swept keys that pass pair 2's equation.
+    Peel lemma: decrypt the ciphertext with (k, K_(r+2), ..., K_6) and
+    K_r = 0 down to the input of round r.  With (L, R) the state at the
+    input of round r+2, one more round gives (R, L ^ F_(r+1)(R) ^ k) and
+    the next the right half l ^ F_r(e ^ k), l = R, e = L ^ F_(r+1)(R).
+    So the pair-1/pair-p difference of that right half over every k is
+    the derivative F_r(y) ^ F_r(y ^ d) at y = k ^ e1, d = e1 ^ ep, plus
+    the constant l1 ^ lp.
     """
-    keys = (0, *known)
-    (_, ct1), (_, ct2), (_, ct3) = pair_set.pairs
-    first = _peeled_right(ct1, keys, spec)
-    match = (first ^ _peeled_right(ct2, keys, spec)) == want[0]
-    hits = np.flatnonzero(match)
-    keys = (0, known[0][hits], *known[1:])
-    match[hits] = (first[hits] ^ _peeled_right(ct3, keys, spec)) == want[1]
-    return match
+    r = 5 - len(known)
+    left, right = partial_decrypt(ct, (0,) * (r + 1) + tuple(known), spec,
+                                  6, r + 2)
+    return int(right), int(left ^ spec.round_f(r + 1, right))
+
+
+def _derivative_sweep(round_index, origin, equations, spec):
+    """Ascending keys k in [0, 2^w) with F(y) ^ F(y ^ d) == t for every
+    (d, t) in equations, where y = k ^ origin and F = F_round_index.
+
+    y runs over the whole domain as k does, so the first equation is one
+    unshifted and one XOR-shifted table read over the domain; each later
+    equation is read only at the survivors of those before it.
+    """
+    ys = np.arange(1 << spec.word_width, dtype=np.intp)
+    (d, t), *rest = equations
+    hits = np.flatnonzero(spec.round_f(round_index, ys)
+                          ^ spec.round_f(round_index, ys ^ d) == t)
+    for d, t in rest:
+        hits = hits[spec.round_f(round_index, hits)
+                    ^ spec.round_f(round_index, hits ^ d) == t]
+    keys = hits ^ origin
+    keys.sort()
+    return keys
+
+
+def _pair_sweep(known, want, pair_set, spec):
+    """Ascending keys K_(r+1) with which pairs 2 and 3 peel to the
+    round-r right-half differences want[0], want[1] from pair 1, for
+    known = (K_(r+2), ..., K_6): by the peel lemma one derivative sweep
+    of F_r, r = 5 - len(known), with pair 3 read on pair 2's survivors."""
+    (l1, e1), *rest = (_peel_terms(ct, known, spec)
+                       for _, ct in pair_set.pairs)
+    return _derivative_sweep(
+        5 - len(known), e1,
+        [(e1 ^ e, w ^ l1 ^ l) for (l, e), w in zip(rest, want)], spec)
 
 
 def _plaintext_left_diff(pair_set, pair_idx):
@@ -168,9 +192,15 @@ def diff_f(x, pair_set, pair_idx, spec):
 
 
 def diff_g(x, pair_set, pair_idx, spec):
-    """Decryption-direction matching difference; equals the round-4 left
-    difference when x is the true K6."""
-    return _peel_diff((x,), pair_set, pair_idx, spec)
+    """Decryption-direction matching difference: the pair-1/pair-p
+    difference of the round-5 right halves peeled with K6 = x and K5 = 0,
+    l1 ^ lp ^ F_5(e1 ^ x) ^ F_5(ep ^ x) by the peel lemma; equals the
+    round-4 left difference when x is the true K6."""
+    if pair_idx not in (2, 3):
+        raise ValueError("pair_idx must be 2 or 3")
+    (l1, e1), (lp, ep) = (_peel_terms(pair_set.pairs[i][1], (), spec)
+                          for i in (0, pair_idx - 1))
+    return spec.round_f(5, x ^ e1) ^ spec.round_f(5, x ^ ep) ^ (l1 ^ lp)
 
 
 def build_claw_problem(pair_set, spec):
@@ -192,8 +222,13 @@ def k3_check_paper(k3, k4, k5, k6, pair_set, pair_idx, spec):
     cancels and the verdict is independent of k3.  The predicate exists to
     demonstrate exactly that degeneracy.
     """
-    return bool(np.all(_peel_diff((k3, k4, k5, k6), pair_set, pair_idx, spec)
-                       == _plaintext_left_diff(pair_set, pair_idx)))
+    if pair_idx not in (2, 3):
+        raise ValueError("pair_idx must be 2 or 3")
+    (l1, e1), (lp, ep) = (_peel_terms(pair_set.pairs[i][1], (k4, k5, k6),
+                                      spec)
+                          for i in (0, pair_idx - 1))
+    diff = l1 ^ lp ^ spec.round_f(2, e1 ^ k3) ^ spec.round_f(2, ep ^ k3)
+    return bool(np.all(diff == _plaintext_left_diff(pair_set, pair_idx)))
 
 
 def k1k3_constant(pair_set, k2_prime, k5, k6, spec):
@@ -201,7 +236,7 @@ def k1k3_constant(pair_set, k2_prime, k5, k6, spec):
     must agree or the upstream keys are wrong."""
     values = set()
     for pt, ct in pair_set.pairs:
-        l4 = _peeled_right(ct, (k5, k6), spec)
+        l4 = _peel_terms(ct, (k6,), spec)[1] ^ k5     # R5, the peel lemma
         values.add(int(l4 ^ spec.round_f(3, pt[0] ^ k2_prime)
                        ^ pair_set.constant_c))
     if len(values) != 1:
@@ -225,22 +260,19 @@ class QueryStats:
 GROVER_RETRIES = 5
 
 
-def _search_candidates(stage, predicate, spec, backend, seed, stats):
-    """Candidate key values for one Grover-style stage, as an ascending
-    index array for both backends so the downstream pipeline is
-    backend-independent, and the stage's report figure: its quantum
-    queries, or else N.
+def _search_candidates(stage, survivors, spec, backend, seed, stats):
+    """Candidate key values for one Grover-style stage, and the stage's
+    report figure: its quantum queries, or else N.
 
-    predicate maps a numpy array of all 2^w candidates to a bool array.
-    The grover backend also samples the survivors and verifies each
-    sample, up to GROVER_RETRIES times, for the quantum query count.  The
-    call is charged to stats under stage: the one vectorised sweep, N
-    classical evaluations however many samples missed, plus the queries.
+    survivors is the stage's full sweep, the ascending array of keys that
+    pass its predicate, and is returned as the candidates for both
+    backends so the downstream pipeline is backend-independent.  The
+    grover backend also samples the survivors and verifies each sample,
+    up to GROVER_RETRIES times, for the quantum query count.  The call is
+    charged to stats under stage: the one vectorised sweep, N classical
+    evaluations however many samples missed, plus the queries.
     """
     n = 1 << spec.word_width
-    xs = np.arange(n, dtype=np.uint32)
-    truth = predicate(xs)
-    survivors = np.flatnonzero(truth)
     queries = 0
     if backend != "exhaustive" and survivors.size:
         # iteration count assumes a single marked element; spurious
@@ -248,10 +280,10 @@ def _search_candidates(stage, predicate, spec, backend, seed, stats):
         iters = grover.grover_iterations(n, 1)
         for attempt in range(GROVER_RETRIES):
             idx, ledger = grover.grover_sample(
-                lambda x: bool(truth[x]), n, seed=seed + attempt,
+                lambda x: x in survivors, n, seed=seed + attempt,
                 iterations=iters, marked=survivors)
             queries += ledger.oracle_queries
-            if truth[idx]:
+            if idx in survivors:
                 break
     for totals, count in ((stats.grover_queries, queries),
                           (stats.classical_evals, n)):
@@ -322,11 +354,12 @@ def schedule_consistent(k1, k2, k5, spec):
 def _extra_pair_filter(k456, c_star, pair_set, spec):
     """Element-wise over K4 (k456 = (K4, K5, K6), K4 an int or an array):
     the O(1) extra-pair filter of resolve_k1_k2_k3, which needs neither
-    K1 nor K2'.  The extra pair's ciphertext is peeled through rounds
-    6..4 to (L4, R4), and the test is L4 ^ F3(R4) ^ c* == R1 ^ F1(L1)."""
+    K1 nor K2'.  The extra pair's ciphertext peeled through rounds 6..4
+    is (L4, R4) = (l, e ^ K4) with the peel lemma's (l, e) at r = 3, and
+    the test is L4 ^ F3(R4) ^ c* == R1 ^ F1(L1)."""
     (l1, r1), ct = pair_set.extra_pair
-    l4, r4 = partial_decrypt(ct, (0, 0, 0, *k456), spec, 6, 4)
-    return l4 ^ spec.round_f(3, r4) ^ c_star == r1 ^ spec.round_f(1, l1)
+    l, e = _peel_terms(ct, k456[1:], spec)
+    return l ^ spec.round_f(3, e ^ k456[0]) ^ c_star == r1 ^ spec.round_f(1, l1)
 
 
 def resolve_k1_k2_k3(c_star, k2_prime, pair_set, spec, k456, backend,
@@ -336,7 +369,8 @@ def resolve_k1_k2_k3(c_star, k2_prime, pair_set, spec, k456, backend,
     K3), uniqueness, figure); figure is the K1 sweep's, 0 in family mode.
 
     Like every other stage this peels: the extra pair's ciphertext goes
-    back through rounds 6..4 to the round-4 input (L4, R4).  With
+    back through rounds 6..4 to the round-4 input (L4, R4), with R4 from
+    the peel lemma's terms and no array decryption.  With
     a = R1 ^ F1(L1) the forward rounds 1-3 under the family member of K1
     (K2 = F2(K1 ^ C) ^ K2', K3 = K1 ^ c*) give
 
@@ -347,7 +381,8 @@ def resolve_k1_k2_k3(c_star, k2_prime, pair_set, spec, k456, backend,
     set before calling this), and a tuple that passes it leaves the sweep
     F2(a ^ K1) ^ F2(C ^ K1) == R4 ^ L1 ^ K2'.  Rounds 4-6 are a
     bijection under the known keys, so filter and sweep together accept
-    exactly the K1 that encrypt the extra pair over all six rounds.
+    exactly the K1 that encrypt the extra pair over all six rounds.  The
+    sweep is the derivative of F2 at y = K1 ^ C with shift a ^ C.
 
     One extra pair cannot always pin K1 alone: with the same round
     function in rounds 1-3 the sweep is invariant under
@@ -364,12 +399,11 @@ def resolve_k1_k2_k3(c_star, k2_prime, pair_set, spec, k456, backend,
             raise AttackError("no K1 satisfies the extra pair; "
                               "upstream keys wrong")
         (l1, r1), ct = pair_set.extra_pair
-        a = r1 ^ spec.round_f(1, l1)
-        target = _peeled_right(ct, k456, spec) ^ l1 ^ k2_prime
+        a = int(r1 ^ spec.round_f(1, l1))
+        r4 = _peel_terms(ct, k456[1:], spec)[1] ^ k456[0]
         cands, figure = _search_candidates(
             "resolve-k1",
-            lambda xs: spec.round_f(2, xs ^ a) ^ spec.round_f(2, xs ^ c)
-            == target,
+            _derivative_sweep(2, c, ((a ^ c, r4 ^ l1 ^ k2_prime),), spec),
             spec, backend, seed, stats)
         if not cands.size:
             raise AttackError("no K1 satisfies the extra pair; "
@@ -418,7 +452,7 @@ def run_asr_attack(pair_set, spec, backends="classical", seed=0):
         stage, want, offset = (("k5", l1_diffs, 1) if len(known) == 1
                                else ("k4", (0, 0), 2))
         return _search_candidates(
-            stage, lambda xs: _peel_match((xs, *known), want, pair_set, spec),
+            stage, _pair_sweep(known, want, pair_set, spec),
             spec, search, seed + offset, stats)
 
     def hexed(value):

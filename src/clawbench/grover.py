@@ -18,6 +18,9 @@ import numpy as np
 from .claw import CapacityError
 
 STATEVECTOR_LIMIT = 1 << 20
+# amplitude updates one statevector run may make, counting an iteration
+# as at least 2^12 of them: below that its Python overhead dominates
+STATEVECTOR_WORK_LIMIT = 1 << 30
 
 
 def grover_iterations(n_items, n_marked):
@@ -31,6 +34,8 @@ def grover_iterations(n_items, n_marked):
 
 def grover_success_prob(n_items, n_marked, iterations):
     """Closed form sin^2((2R+1) * asin(sqrt(M/N)))."""
+    if iterations < 0:
+        raise ValueError(f"iterations must be >= 0, got {iterations}")
     if n_marked <= 0:
         raise ValueError("no marked element")
     if n_marked > n_items:
@@ -67,6 +72,18 @@ class QueryLedger:
         self.oracle_queries += n
 
 
+def check_statevector(n_items, iterations):
+    """Refuse a statevector run beyond STATEVECTOR_LIMIT amplitudes or
+    STATEVECTOR_WORK_LIMIT amplitude updates, before anything runs."""
+    if n_items > STATEVECTOR_LIMIT:
+        raise CapacityError(
+            f"statevector refused for N={n_items} > {STATEVECTOR_LIMIT}")
+    if iterations * max(n_items, 1 << 12) > STATEVECTOR_WORK_LIMIT:
+        raise CapacityError(
+            f"statevector refused for {iterations} iterations at "
+            f"N={n_items}: over {STATEVECTOR_WORK_LIMIT} amplitude updates")
+
+
 def grover_run_statevector(inst, norm_log=None):
     """Exact measurement distribution after R iterations.
 
@@ -80,8 +97,7 @@ def grover_run_statevector(inst, norm_log=None):
     in-place pass amp <- 2 * sum / N - amp.
     """
     n = inst.n_items
-    if n > STATEVECTOR_LIMIT:
-        raise CapacityError(f"statevector refused for N={n} > {STATEVECTOR_LIMIT}")
+    check_statevector(n, inst.iterations)
     if not inst.marked:
         raise ValueError("no marked element")
     marked = np.array(inst.marked)

@@ -8,8 +8,8 @@ from clawbench.attack import (GROVER_RETRIES, AttackError, ChosenPairSet,
                               make_chosen_plaintext, make_pair_set,
                               resolve_k1_k2_k3, run_asr_attack,
                               schedule_consistent, true_k2_prime)
-from clawbench.cipher import (FeistelSpec, feistel_encrypt, random_subkeys,
-                              simeck_f, simeck_key_schedule)
+from clawbench.cipher import (FeistelSpec, feistel_encrypt, partial_decrypt,
+                              random_subkeys, simeck_f, simeck_key_schedule)
 from clawbench.claw import find_claws_exhaustive, find_claws_sorted
 from clawbench.grover import grover_iterations
 from clawbench.words import mask
@@ -63,6 +63,16 @@ def test_diff_g_degenerate_pair_is_zero():
         assert diff_g(x, degenerate, 2, spec) == 0
 
 
+@pytest.mark.parametrize("pair_idx", [0, 1, 4])
+def test_difference_checks_take_pairs_2_and_3_only(pair_idx):
+    spec = vectors.SPEC
+    for check in (lambda: diff_g(0, paper_pair_set(), pair_idx, spec),
+                  lambda: k3_check_paper(0, *vectors.SUBKEYS[3:],
+                                         paper_pair_set(), pair_idx, spec)):
+        with pytest.raises(ValueError, match="pair_idx"):
+            check()
+
+
 def test_claw_soundness_random_instances():
     for seed in range(20):
         spec = FeistelSpec(word_width=8)
@@ -88,6 +98,23 @@ def test_spurious_claw_census_w8():
     assert mean_extra < 32          # O(1)-ish; Simeck structure clusters claws
 
 
+def array_peel_right(ct, known, spec):
+    """Reference peel: the right half of the round-r input state,
+    r = 7 - len(known), decrypting rounds 6..r with known = (K_r, ...,
+    K_6), any of them arrays; the array decryption the key sweeps made
+    before they were derivative sweeps."""
+    r = 7 - len(known)
+    return partial_decrypt(ct, (0,) * (r - 1) + tuple(known), spec, 6, r)[1]
+
+
+def array_peel_diff(known, pair_set, pair_idx, spec):
+    """Reference pair-1/pair-p difference of array_peel_right with
+    known = (K_(r+1), ..., K_6) and K_r = 0."""
+    keys = (0, *known)
+    return (array_peel_right(pair_set.pairs[0][1], keys, spec)
+            ^ array_peel_right(pair_set.pairs[pair_idx - 1][1], keys, spec))
+
+
 def test_k5_k4_checks_with_true_keys():
     spec = vectors.SPEC
     pair_set = paper_pair_set()
@@ -95,13 +122,33 @@ def test_k5_k4_checks_with_true_keys():
     l1 = [pt[0] for pt, _ in pair_set.pairs]
     l1_diffs = (l1[0] ^ l1[1], l1[0] ^ l1[2])
     # the true K5 and K4 pass both pairs' matching equations
-    k4s, k5s = np.array([k4], np.uint32), np.array([k5], np.uint32)
-    assert attack._peel_match((k5s, k6), l1_diffs, pair_set, spec).all()
-    assert attack._peel_match((k4s, k5, k6), (0, 0), pair_set, spec).all()
-    # a strided K5 sweep through the true value keeps it among its survivors
-    xs = np.arange(k5 % 257, 1 << 16, 257, dtype=np.uint32)
-    k5_survivors = xs[attack._peel_match((xs, k6), l1_diffs, pair_set, spec)]
-    assert k5 in k5_survivors
+    for p, want in zip((2, 3), l1_diffs):
+        assert array_peel_diff((k5, k6), pair_set, p, spec) == want
+        assert array_peel_diff((k4, k5, k6), pair_set, p, spec) == 0
+    # and are among the survivors of their full sweeps
+    assert k5 in attack._pair_sweep((k6,), l1_diffs, pair_set, spec)
+    assert k4 in attack._pair_sweep((k5, k6), (0, 0), pair_set, spec)
+
+
+@pytest.mark.parametrize("width", [4, 8, 12])
+def test_peel_lemma_equals_the_array_peel(width):
+    """Peeling with (k, K_(r+2), ..., K_6) and K_r = 0 leaves the right
+    half l ^ F_r(e ^ k) at round r, for every k, with (l, e) from one
+    scalar decryption down to round r+2."""
+    xs = np.arange(1 << width, dtype=np.uint32)
+    for seed in range(5):
+        spec = FeistelSpec(word_width=width, round_function="random",
+                           seed=seed)
+        rng = np.random.default_rng(seed)
+        for _ in range(4):
+            ct = tuple(int(v) for v in rng.integers(0, 1 << width, size=2))
+            keys = tuple(int(v) for v in rng.integers(0, 1 << width, size=6))
+            for r in range(1, 6):
+                known = keys[r + 1:]
+                l, e = attack._peel_terms(ct, known, spec)
+                want = array_peel_right(ct, (0, xs, *known), spec)
+                assert np.array_equal(l ^ spec.round_f(r, e ^ xs), want), \
+                    (width, seed, r)
 
 
 def test_k3_check_is_degenerate_on_rule_pairs():
@@ -403,29 +450,104 @@ def test_array_tie_break_equals_per_key_reference(monkeypatch):
 
 
 def two_diff_match(known, want, pair_set, spec):
-    """Reference for _peel_match: both equations over the whole sweep,
-    each peeling pair 1 again."""
-    return ((attack._peel_diff(known, pair_set, 2, spec) == want[0])
-            & (attack._peel_diff(known, pair_set, 3, spec) == want[1]))
+    """Reference for _pair_sweep: the ascending keys passing both
+    equations, each peeling every swept key through the array decryption
+    and pair 1 again."""
+    xs = np.arange(1 << spec.word_width, dtype=np.uint32)
+    return np.flatnonzero(
+        (array_peel_diff((xs, *known), pair_set, 2, spec) == want[0])
+        & (array_peel_diff((xs, *known), pair_set, 3, spec) == want[1]))
 
 
 def test_peel_match_equals_two_diff_reference(monkeypatch):
-    peel_match = attack._peel_match
-    sweeps = {2: 0, 3: 0}       # len(known): K5 sweeps, K4 sweeps
+    pair_sweep = attack._pair_sweep
+    sweeps = {1: 0, 2: 0}       # len(known): K5 sweeps, K4 sweeps
 
     def checked(known, want, pair_set, spec):
-        got = peel_match(known, want, pair_set, spec)
-        assert got.dtype == bool
+        got = pair_sweep(known, want, pair_set, spec)
+        assert got.dtype == np.intp
         assert np.array_equal(got, two_diff_match(known, want, pair_set,
                                                   spec))
         sweeps[len(known)] += 1
         return got
 
-    monkeypatch.setattr(attack, "_peel_match", checked)
+    monkeypatch.setattr(attack, "_pair_sweep", checked)
     for spec, pair_set in resolve_instances():
         run_asr_attack(pair_set, spec)
-    print(f"peel match: {sweeps[2]} K5 and {sweeps[3]} K4 sweeps checked")
-    assert sweeps[2] > 0 and sweeps[3] > 0
+    print(f"pair sweep: {sweeps[1]} K5 and {sweeps[2]} K4 sweeps checked")
+    assert sweeps[1] > 0 and sweeps[2] > 0
+
+
+class RecordingTable(np.ndarray):
+    """A round-function table that records the dtype and size of every
+    array index it is read with."""
+
+    reads = []
+
+    def take(self, indices, *args, **kwargs):
+        RecordingTable.reads.append((indices.dtype, indices.size))
+        return self.view(np.ndarray).take(indices, *args, **kwargs)
+
+    def __getitem__(self, key):
+        if isinstance(key, np.ndarray):
+            RecordingTable.reads.append((key.dtype, key.size))
+        return self.view(np.ndarray)[key]
+
+
+def test_full_width_gathers_index_with_intp():
+    """Every table read over the whole domain, in the claw side tables
+    and in every key sweep, gathers with an intp index."""
+    cases = [(vectors.SPEC, paper_pair_set(with_extra=True))]
+    for seed in range(3):
+        spec = FeistelSpec(word_width=12, round_function="random", seed=seed)
+        cases.append((spec, make_pair_set(spec, random_subkeys(spec, seed),
+                                          seed)))
+    for spec, pair_set in cases:
+        tables = spec._tables
+        object.__setattr__(spec, "_tables", tuple(
+            t.view(RecordingTable) for t in tables))
+        RecordingTable.reads.clear()
+        try:
+            run_asr_attack(pair_set, spec)
+        finally:
+            object.__setattr__(spec, "_tables", tables)
+        full = [dtype for dtype, size in RecordingTable.reads
+                if size == 1 << spec.word_width]
+        assert full and all(dtype == np.intp for dtype in full), set(full)
+
+
+def test_sweeps_read_one_shifted_table_per_equation(monkeypatch):
+    """The K5, K4 and resolve sweeps decrypt no array: each reads F_r over
+    the whole domain twice, unshifted and XOR-shifted for its first
+    equation, and reads a later equation only at the survivors."""
+    sweep, round_f = attack._derivative_sweep, FeistelSpec.round_f
+    decrypt = attack.partial_decrypt
+    reads, sweeps = [], []
+
+    def counting_round_f(spec, round_index, x):
+        reads.append(np.size(x))
+        return round_f(spec, round_index, x)
+
+    def scalar_decrypt(block, keys, *rest):
+        assert not any(np.ndim(v) for v in (*block, *keys))
+        return decrypt(block, keys, *rest)
+
+    def counted_sweep(round_index, origin, equations, spec):
+        reads.clear()
+        out = sweep(round_index, origin, equations, spec)
+        n = 1 << spec.word_width
+        assert reads[:2] == [n, n]
+        assert len(reads) == 2 * len(equations)
+        assert all(size < n for size in reads[2:])
+        sweeps.append(round_index)
+        return out
+
+    monkeypatch.setattr(FeistelSpec, "round_f", counting_round_f)
+    monkeypatch.setattr(attack, "partial_decrypt", scalar_decrypt)
+    monkeypatch.setattr(attack, "_derivative_sweep", counted_sweep)
+    for spec, pair_set in resolve_instances():
+        run_asr_attack(pair_set, spec)
+    assert {4, 3, 2} == set(sweeps)     # K5, K4 and resolve sweeps
 
 
 def test_classical_evals_do_not_depend_on_grover_misses():
@@ -466,20 +588,20 @@ def test_sweep_ledger_adds_up_per_stage(monkeypatch):
     and each report stage shows the figure of the sweep of the verifying
     tuple's inputs."""
     report_names = {"k5": "k5", "k4": "k4", "resolve-k1": "resolve-k1-k2-k3"}
-    search, peel_match = attack._search_candidates, attack._peel_match
+    search, pair_sweep = attack._search_candidates, attack._pair_sweep
     resolve = attack.resolve_k1_k2_k3
     current = {}                # stage -> inputs of its sweep in progress
 
-    def recording_peel_match(known, *rest):
-        stage = "k5" if len(known) == 2 else "k4"
-        current[stage] = tuple(int(k) for k in known[1:])
-        return peel_match(known, *rest)
+    def recording_pair_sweep(known, *rest):
+        stage = "k5" if len(known) == 1 else "k4"
+        current[stage] = tuple(int(k) for k in known)
+        return pair_sweep(known, *rest)
 
     def recording_resolve(c_star, k2_prime, pair_set, spec, k456, *rest):
         current["resolve-k1"] = (c_star, k2_prime, *k456)
         return resolve(c_star, k2_prime, pair_set, spec, k456, *rest)
 
-    monkeypatch.setattr(attack, "_peel_match", recording_peel_match)
+    monkeypatch.setattr(attack, "_pair_sweep", recording_pair_sweep)
     monkeypatch.setattr(attack, "resolve_k1_k2_k3", recording_resolve)
     for spec, pair_set in resolve_instances():
         n = 1 << spec.word_width

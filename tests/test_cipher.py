@@ -43,6 +43,23 @@ def test_round_f_is_one_shared_simeck_table():
     assert isinstance(spec.round_f(1, 0xCDF5), np.uint32)
 
 
+@pytest.mark.parametrize("function", ["simeck", "random"])
+def test_round_f_index_dtypes(function):
+    """An index array of any integer dtype gives the table's uint32 words;
+    a word, Python or numpy, gives an np.uint32."""
+    spec = FeistelSpec(word_width=12, round_function=function, seed=3)
+    table = spec._tables[1]
+    xs = np.random.default_rng(3).integers(0, 1 << 12, size=500)
+    for dtype in (np.uint32, np.int64, np.intp):
+        got = spec.round_f(2, xs.astype(dtype))
+        assert got.dtype == np.uint32, dtype
+        assert np.array_equal(got, table[xs]), dtype
+    for word in (0xABC, np.uint32(0xABC), np.int64(0xABC)):
+        got = spec.round_f(2, word)
+        assert isinstance(got, np.uint32), type(word)
+        assert got == table[0xABC]
+
+
 def test_simeck_needs_width_4():
     with pytest.raises(ValueError):
         FeistelSpec(word_width=3)

@@ -243,6 +243,14 @@ def test_sim_grover_capacity_guard(capsys):
     assert code == 4
 
 
+def test_sim_grover_work_guard(capsys):
+    code, out, err = run_cli(capsys, "sim-grover", "--items", "8",
+                             "--marked", "1", "--iterations", "1000000000")
+    assert code == 4
+    assert out == ""
+    assert "amplitude updates" in err
+
+
 def test_sim_clawwalk_collapsed(capsys):
     code, out, _ = run_cli(capsys, "sim-clawwalk", "--bits", "4",
                            "--seed", "0")

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clawbench.claw import CapacityError
-from clawbench.grover import (STATEVECTOR_LIMIT, GroverInstance, QueryLedger,
+from clawbench.grover import (STATEVECTOR_LIMIT, STATEVECTOR_WORK_LIMIT,
+                              GroverInstance, QueryLedger, check_statevector,
                               grover_iterations, grover_run_statevector,
                               grover_sample, grover_success_prob,
                               marked_probability)
@@ -88,6 +89,26 @@ def test_one_pass_matches_two_pass_reference(n, data, scale):
 def test_capacity_guard():
     with pytest.raises(CapacityError):
         grover_run_statevector(GroverInstance(1 << 21, (0,), 1))
+
+
+def test_statevector_work_guard():
+    # the largest benchmark job, 804 iterations at N = 2^20, is allowed;
+    # an iteration counts as at least 2^12 amplitude updates
+    check_statevector(STATEVECTOR_LIMIT, 804)
+    check_statevector(8, STATEVECTOR_WORK_LIMIT >> 12)
+    for n, iterations in ((8, (STATEVECTOR_WORK_LIMIT >> 12) + 1),
+                          (STATEVECTOR_LIMIT, 1025),
+                          (STATEVECTOR_LIMIT + 1, 0)):
+        with pytest.raises(CapacityError):
+            check_statevector(n, iterations)
+    # refused before the first iteration runs
+    with pytest.raises(CapacityError):
+        grover_run_statevector(GroverInstance(8, (1,), 10 ** 9))
+
+
+def test_sample_rejects_negative_iterations():
+    with pytest.raises(ValueError, match="iterations must be >= 0"):
+        grover_sample(lambda x: x == 3, 8, seed=0, iterations=-1, marked=[3])
 
 
 def test_statevector_limit_itself_runs():

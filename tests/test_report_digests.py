@@ -94,7 +94,9 @@ def test_report_digest(tmp_path, args):
 # make_pair_set(spec, random_subkeys(spec, s), s): width 3 walk-full has
 # 2-5 claws per instance, so the digest pins the order of the claw census
 # the walk samples from; width 12 walk-sim covers the walk (seeds 0, 2-4)
-# and the not-unique fallback (seed 1)
+# and the not-unique fallback (seed 1); width 16 classical is the
+# benchmark's random16 op kind (one claw on seeds 0, 2, 3 and three on
+# seed 1, every resolve ambiguous between a K1 pair)
 API_DIGESTS = {
     (3, 0, "walk-full"):
         "afe5660deb60354e25ddd691f7f258134c63443bd53ed2a4ccda266a007b01f7",
@@ -116,6 +118,14 @@ API_DIGESTS = {
         "0481e92e9229d3cc05e52f17341c81d906f2311a2d57b598b0df62cf31e463e6",
     (12, 4, "walk-sim"):
         "803ca437dc26f29add8422ac779a4cbbb4d61a3ae9fca4f1aeded1caf53c13f4",
+    (16, 0, "classical"):
+        "418ff96e00c49beb2cbfc64fbaf1652fb2fca5d307a8674b22f72dd852af72a1",
+    (16, 1, "classical"):
+        "b8b1126fb796c396a79233e6321c03ed0e0bafdc8c0a056d312411a40ec1707b",
+    (16, 2, "classical"):
+        "76c15114e32eb9bb0fe9c4e19f8206077ef10ce98017d8a5f9e42b2a5aa1441a",
+    (16, 3, "classical"):
+        "e5be9197bb0d0aa6a5dfe7a55417f432453d453b51b4a5cf5787fd85e76b84ed",
 }
 
 
