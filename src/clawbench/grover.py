@@ -11,6 +11,7 @@ query ledger per iteration.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +52,9 @@ class GroverInstance:
     iterations: int | None = None    # None -> floor((pi/4) sqrt(N/M))
 
     def __post_init__(self):
-        self.marked = tuple(sorted(set(self.marked)))
+        self.marked = tuple(sorted(self.marked))
+        if any(x == y for x, y in zip(self.marked, self.marked[1:])):
+            raise ValueError("marked indices must be distinct")
         if self.marked and (self.marked[0] < 0
                             or self.marked[-1] >= self.n_items):
             raise ValueError(
@@ -135,6 +138,17 @@ def grover_sample(predicate, n_items, seed, iterations=None, marked=None):
     1-D sequence of distinct indices in [0, N); ascending input is checked
     in one pass.
 
+    The draw is exact: seed for seed, the index that
+    default_rng(seed).choice(N, p=law) returns.  choice takes one uniform
+    double u and returns the first entry of its CDF, a sequential cumsum
+    of the law divided by its last entry, above u.  Rounding puts each
+    entry within about (N + 1) eps of its exact value, and the closed-form
+    boundaries within a few eps, so _closed_form_index locates u among
+    those in O(M) time and memory and hands a u within delta =
+    4 (N + 16) eps of one to choice's own steps (_cdf_index).  Only that
+    fallback takes the O(N) time and memory that choice spends on every
+    draw.
+
     Returns (index, ledger).  The caller verifies the sample classically.
     """
     rng = np.random.default_rng(seed)
@@ -155,7 +169,49 @@ def grover_sample(predicate, n_items, seed, iterations=None, marked=None):
     if iterations is None:
         iterations = grover_iterations(n_items, m)
     p_hit = grover_success_prob(n_items, m, iterations)
-    probs = np.full(n_items, (1 - p_hit) / max(n_items - m, 1))
-    probs[marked] = p_hit / m
-    return (int(rng.choice(n_items, p=probs / probs.sum())),
+    return (_closed_form_index(rng.random(), marked, n_items, p_hit),
             QueryLedger(oracle_queries=iterations))
+
+
+def _cdf_index(u, marked, n_items, p_hit):
+    """The O(N) draw: what rng.choice(N, p=law) does with its uniform u
+    (normalised cumsum, then searchsorted to the right)."""
+    probs = np.full(n_items, (1 - p_hit) / max(n_items - marked.size, 1))
+    probs[marked] = p_hit / marked.size
+    cdf = np.cumsum(probs / probs.sum())
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(u, side="right"))
+
+
+def _closed_form_index(u, marked, n_items, p_hit):
+    """_cdf_index(u, ...) in O(M), for ascending distinct marked indices.
+
+    With a and b the normalised unmarked and marked probabilities, marked
+    item j (index m_j) owns [lo_j, lo_j + b), lo_j = m_j a + j (b - a),
+    and each unmarked item after it the next step of a.  u must lie delta
+    inside its interval, or the O(N) path decides.
+    """
+    m = marked.size
+    a = (1 - p_hit) / max(n_items - m, 1)
+    b = p_hit / m
+    total = (n_items - m) * a + m * b
+    a, b = a / total, b / total
+    delta = 4 * (n_items + 16) * sys.float_info.epsilon
+    lo = marked * a + np.arange(m) * (b - a)
+    j = int(lo.searchsorted(u, side="right"))
+    if j and u < lo[j - 1] + b:
+        idx, left, right = int(marked[j - 1]), lo[j - 1], lo[j - 1] + b
+    else:
+        # the unmarked run after marked item j - 1; no step narrower than
+        # 2 delta clears the margin (and a may be 0).  A k past the run's
+        # end puts left at or beyond lo_j (or 1 after the last marked
+        # item), above u, so the margin test below catches it.
+        if a < 2 * delta:
+            return _cdf_index(u, marked, n_items, p_hit)
+        start = int(marked[j - 1]) + 1 if j else 0
+        edge = lo[j - 1] + b if j else 0.0
+        k = int((u - edge) / a)
+        idx, left, right = start + k, edge + k * a, edge + (k + 1) * a
+    if u - left < delta or right - u < delta:
+        return _cdf_index(u, marked, n_items, p_hit)
+    return idx

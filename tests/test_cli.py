@@ -229,6 +229,14 @@ def test_sim_grover_rejects_marked_outside_items(capsys):
         assert "marked indices" in err
 
 
+def test_sim_grover_rejects_duplicate_marked(capsys):
+    code, out, err = run_cli(capsys, "sim-grover", "--items", "8",
+                             "--marked", "3,3")
+    assert code == 3
+    assert out == ""
+    assert "marked indices must be distinct" in err
+
+
 def test_sim_grover_rejects_negative_iterations(capsys):
     code, out, err = run_cli(capsys, "sim-grover", "--items", "8",
                              "--marked", "1", "--iterations", "-1")

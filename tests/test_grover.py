@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from clawbench import grover
 from clawbench.claw import CapacityError
 from clawbench.grover import (STATEVECTOR_LIMIT, STATEVECTOR_WORK_LIMIT,
                               GroverInstance, QueryLedger, check_statevector,
@@ -28,6 +29,22 @@ def two_pass_reference(inst, norm_log=None):
         if norm_log is not None:
             norm_log.append(float(np.linalg.norm(amp)))
     return amp ** 2, ledger
+
+
+def closed_form_law(n, marked, iterations):
+    """The law as an N-entry vector, normalised for rng.choice."""
+    p_hit = grover_success_prob(n, len(marked), iterations)
+    probs = np.full(n, (1 - p_hit) / max(n - len(marked), 1))
+    probs[marked] = p_hit / len(marked)
+    return probs / probs.sum()
+
+
+def choice_cdf(p):
+    """The CDF rng.choice(n, p=p) searches: cumsum, divided by its last
+    entry; its draw is searchsorted(u, side="right")."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
 
 
 def test_iteration_counts():
@@ -168,3 +185,61 @@ def test_sample_takes_marked_in_any_order():
                  for m in (list(marked), np.array(marked),
                            np.array(marked[::-1], dtype=np.uint32))}
         assert len(draws) == 1
+
+
+def test_sample_equals_rng_choice_on_the_closed_form_law():
+    # seed for seed, the O(M) draw returns what rng.choice returns on the
+    # N-entry law: every M at small N, sampled M up to M = N above, and
+    # iterations 0..R1 + 2 (N = 4, M = 1, R = 1 has p_hit = 1)
+    assert grover_success_prob(4, 1, 1) == 1.0
+    rng = np.random.default_rng(2024)
+    draws = 0
+    for n, seeds in ((2, 150), (3, 150), (4, 150), (8, 150), (1 << 8, 3),
+                     (1 << 12, 1), (1 << 16, 1)):
+        r1 = grover_iterations(n, 1)
+        if n <= 1 << 8:
+            ms = range(1, n + 1)
+        else:
+            ms = sorted({1, 2, 3, 4, 64, n // 2, n - 1, n,
+                         *(int(x) for x in rng.integers(5, n, 8))})
+        for m in ms:
+            marked = np.sort(rng.choice(n, size=m, replace=False))
+            rs = range(r1 + 3)
+            if n == 1 << 16 and m > 1:
+                rs = (0, 1, r1 // 2, r1, r1 + 1, r1 + 2)
+            for r in rs:
+                p = closed_form_law(n, marked, r)
+                for seed in rng.integers(1 << 31, size=seeds):
+                    want = np.random.default_rng(seed).choice(n, p=p)
+                    idx, ledger = grover_sample(None, n, seed, r,
+                                                marked=marked)
+                    assert idx == want, (n, m, r, seed)
+                    assert ledger.oracle_queries == r
+                    draws += 1
+    assert draws >= 20_000
+
+
+def test_draw_at_cdf_boundaries_matches_searchsorted(monkeypatch):
+    # u on each CDF entry and one ulp either side: the closed-form
+    # boundaries cannot decide these, so the draw falls back to the O(N)
+    # path, and it must agree with searchsorted on choice's CDF
+    fallbacks = []
+    cdf_index = grover._cdf_index
+    monkeypatch.setattr(grover, "_cdf_index",
+                        lambda *args: fallbacks.append(1) or cdf_index(*args))
+    rng = np.random.default_rng(7)
+    cases = [(2, 1, 0), (2, 2, 1), (3, 1, 1), (3, 2, 3), (4, 1, 1),
+             (4, 4, 2), (8, 1, 2), (8, 3, 4), (8, 8, 0), (256, 1, 12),
+             (256, 1, 0), (256, 4, 12), (256, 255, 14), (256, 256, 6),
+             (1 << 12, 1, 50), (1 << 12, 17, 7)]
+    for n, m, r in cases:
+        marked = np.sort(rng.choice(n, size=m, replace=False))
+        p_hit = grover_success_prob(n, m, r)
+        cdf = choice_cdf(closed_form_law(n, marked, r))
+        for c in cdf:
+            for u in (np.nextafter(c, 0.0), c, np.nextafter(c, 1.0)):
+                if u < 1.0:
+                    want = int(cdf.searchsorted(u, side="right"))
+                    assert grover._closed_form_index(
+                        float(u), marked, n, p_hit) == want, (n, m, r, u)
+    assert fallbacks

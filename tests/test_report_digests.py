@@ -20,6 +20,9 @@ DIGESTS = {
         "095d77573124a02dd694afdeea0c4e241543aa52dc798ec88813119daa413d9d",
     "--vectors paper --no-extra-pair":
         "a803724e20976ea16befb4803fb3d0482ed09bdce727d7c575fbc187b0d405fe",
+    # Grover misses pinned: k4 takes 4 draws (804 queries), resolve 5 (1,005)
+    "--vectors paper --backend walk-sim":
+        "2e95fe5a56bc27165f14175c8f51365e8dd17e0a30d8f39181d7e34ef5615c72",
     "--width 8 --random-seed 0 --backend classical":
         "938cbb4b123d24baa3ab163f0640f59de9fa7119385adf1b3090f981396c9198",
     "--width 8 --random-seed 1 --backend classical":
@@ -139,6 +142,29 @@ def test_api_report_digest(width, seed, backend):
                                     backend), indent=2, sort_keys=True)
     assert (hashlib.sha256(text.encode()).hexdigest()
             == API_DIGESTS[width, seed, backend])
+
+
+# Simeck w=12 with random_subkeys(spec, s), run_asr_attack(seed=0) on
+# walk-sim: the claw stage falls back and 3 of the Grover draws miss on
+# each (of 6 on seed 0, of 9 on seed 1), so the digests pin the draws
+SIMECK_API_DIGESTS = {
+    (12, 0, "walk-sim"):
+        "5bc33ec027d30984579ad81c2bc2fac7ce6cb6819afc32db2a6d3213cb8c7dac",
+    (12, 1, "walk-sim"):
+        "5b9dc09e5133f847298c71c229b65ef9be91e36f8c7055f8e724cd1e0973699a",
+}
+
+
+@pytest.mark.parametrize("width,seed,backend", SIMECK_API_DIGESTS)
+def test_simeck_api_report_digest(width, seed, backend):
+    spec = FeistelSpec(word_width=width)
+    pair_set = make_pair_set(spec, random_subkeys(spec, seed), seed)
+    recovered, stats, stages = run_asr_attack(pair_set, spec,
+                                              backends=backend)
+    text = json.dumps(attack_report(pair_set, spec, recovered, stats, stages,
+                                    backend), indent=2, sort_keys=True)
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == SIMECK_API_DIGESTS[width, seed, backend])
 
 
 def test_paper_vectors_walk_sim_fall_back_to_the_sorted_census(tmp_path):
