@@ -20,13 +20,13 @@ whose keys are already known, resolve included, and every full-domain
 key sweep is a derivative of one round function: by the peel lemma
 (_peel_terms), a two-pair matching equation over all 2^w keys k is
 F_r(y) ^ F_r(y ^ d) == t at y = k ^ e, with e and t from one scalar
-cipher.partial_decrypt per ciphertext.  It costs one unshifted and one
-XOR-shifted table read over the domain and decrypts no array.  The K5
-and K4 sweeps, resolve's K1 sweep and the claw's g side (diff_g) all
-take that form.
+cipher.partial_decrypt per ciphertext.  It costs one XOR-shifted gather
+over the domain, since F_r over the domain in order is its table, and
+decrypts no array.  The K5 and K4 sweeps, resolve's K1 sweep and the
+claw's g side (diff_g) all take that form.
 
 Each stage's inputs are computed once: one claw census per attack,
-K1 ^ K3 once per (K2', K6, K5), one K5 sweep per K6 and one K4 sweep per
+K1 ^ K3 once per claw (K2', K6), one K5 sweep per K6 and one K4 sweep per
 (K5, K6), each charged once and kept with its report figure.  A sweep's
 survivors stay an ascending index array, and each later check takes the
 whole array in one call: the extra-pair filter runs once per K4 survivor
@@ -43,7 +43,7 @@ from . import grover
 from .cipher import feistel_encrypt, partial_decrypt, simeck_f
 from .claw import ClawProblem, find_claws_exhaustive, find_claws_sorted
 from .walk import UniqueClawRequired, claw_walk_sample
-from .words import check_word, mask, word_to_hex
+from .words import check_word, domain, mask, word_to_hex
 
 
 class AttackError(RuntimeError):
@@ -149,14 +149,15 @@ def _derivative_sweep(round_index, origin, equations, spec):
     """Ascending keys k in [0, 2^w) with F(y) ^ F(y ^ d) == t for every
     (d, t) in equations, where y = k ^ origin and F = F_round_index.
 
-    y runs over the whole domain as k does, so the first equation is one
-    unshifted and one XOR-shifted table read over the domain; each later
-    equation is read only at the survivors of those before it.
+    y runs over the whole domain as k does, and F over the domain in
+    order is F's table, so the first equation is one XOR-shifted gather
+    over the domain, XOR-ed in place with the table; each later equation
+    is read only at the survivors of those before it.
     """
-    ys = np.arange(1 << spec.word_width, dtype=np.intp)
     (d, t), *rest = equations
-    hits = np.flatnonzero(spec.round_f(round_index, ys)
-                          ^ spec.round_f(round_index, ys ^ d) == t)
+    diff = spec.round_f(round_index, domain(spec.word_width) ^ d)
+    diff ^= spec.table(round_index)
+    hits = np.flatnonzero(diff == t)
     for d, t in rest:
         hits = hits[spec.round_f(round_index, hits)
                     ^ spec.round_f(round_index, hits ^ d) == t]
@@ -188,7 +189,9 @@ def diff_f(x, pair_set, pair_idx, spec):
         raise ValueError("pair_idx must be 2 or 3")
     l1a = pair_set.pairs[0][0][0]
     l1b = pair_set.pairs[pair_idx - 1][0][0]
-    return spec.round_f(3, l1a ^ x) ^ spec.round_f(3, l1b ^ x)
+    diff = spec.round_f(3, l1a ^ x)
+    diff ^= spec.round_f(3, l1b ^ x)
+    return diff
 
 
 def diff_g(x, pair_set, pair_idx, spec):
@@ -200,7 +203,10 @@ def diff_g(x, pair_set, pair_idx, spec):
         raise ValueError("pair_idx must be 2 or 3")
     (l1, e1), (lp, ep) = (_peel_terms(pair_set.pairs[i][1], (), spec)
                           for i in (0, pair_idx - 1))
-    return spec.round_f(5, x ^ e1) ^ spec.round_f(5, x ^ ep) ^ (l1 ^ lp)
+    diff = spec.round_f(5, x ^ e1)
+    diff ^= spec.round_f(5, x ^ ep)
+    diff ^= l1 ^ lp
+    return diff
 
 
 def build_claw_problem(pair_set, spec):
@@ -463,9 +469,12 @@ def run_asr_attack(pair_set, spec, backends="classical", seed=0):
 
     for k2_prime, k6 in claws:
         k5s, k5_figure = sweep((k6,))
+        if k5s.size:
+            # K5 cancels between pairs, so a claw's pairs always agree
+            # here, and c*(K5) = c*(0) ^ K5
+            c_star0 = k1k3_constant(pair_set, k2_prime, 0, k6, spec)
         for k5 in k5s.tolist():
-            # K5 cancels between pairs, so a claw's pairs always agree here
-            c_star = k1k3_constant(pair_set, k2_prime, k5, k6, spec)
+            c_star = c_star0 ^ k5
             k4s, k4_figure = sweep((k5, k6))
             if pair_set.extra_pair is not None:
                 k4s = k4s[_extra_pair_filter((k4s, k5, k6), c_star,

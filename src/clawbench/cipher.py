@@ -8,8 +8,8 @@ The Simeck round function is F(x) = (x & rotl(x, a)) ^ rotl(x, b) with
 (a, b) = (5, 1), reduced mod the word width for toy widths.  A seeded
 mode provides independent random round functions so attack properties can
 be checked over many cipher instances, not just Simeck.  Either way F_i is
-a lookup into a table over all 2^w words; Simeck's one table is shared by
-every spec with the same width.
+a lookup into a read-only table over all 2^w words; Simeck's one table is
+shared by every spec with the same width.
 
 All word-level operations accept numpy arrays as well as ints, so callers
 can evaluate a round function over a whole candidate sweep at once.
@@ -70,9 +70,19 @@ class FeistelSpec:
             n = 1 << self.word_width
             tables = tuple(rng.integers(0, n, size=n, dtype=np.uint32)
                            for _ in range(self.rounds))
+            for table in tables:
+                table.flags.writeable = False
         else:
             raise ValueError(f"unknown round function {self.round_function!r}")
         object.__setattr__(self, "_tables", tables)
+
+    def table(self, round_index):
+        """F_i (1-based round index) over all 2^w words in order, as the
+        read-only uint32 table round_f reads: F_i over the whole domain
+        without a gather."""
+        if not (1 <= round_index <= self.rounds):
+            raise ValueError(f"round index {round_index} outside 1..{self.rounds}")
+        return self._tables[round_index - 1]
 
     def round_f(self, round_index, x):
         """Evaluate F_i (1-based round index) on a word or word array by
@@ -83,9 +93,7 @@ class FeistelSpec:
         the gather, which takes about twice as long at 2^16 words.  A word
         is indexed directly, since take() costs more on a scalar.
         """
-        if not (1 <= round_index <= self.rounds):
-            raise ValueError(f"round index {round_index} outside 1..{self.rounds}")
-        table = self._tables[round_index - 1]
+        table = self.table(round_index)
         if isinstance(x, np.ndarray):
             return table.take(x.astype(np.intp, copy=False))
         return table[x]

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .words import domain
+
 
 class CapacityError(RuntimeError):
     """A table or state vector would exceed the configured desk-scale guard."""
@@ -47,23 +49,40 @@ def concat_multi(problem):
     a lookup into the two side tables, so it is the packing the searches
     run.
     """
-    table = np.concatenate([side_table(problem, 0), side_table(problem, 1)])
+    table = _value_table(problem)
     return lambda j: int(table[j])
 
 
-def side_table(problem, side):
+def _value_table(problem):
+    """F over all 2^(u+1) inputs in order: both side tables written into
+    the two halves of one uint64 buffer."""
+    n = problem.n_side
+    table = np.empty(2 * n, dtype=np.uint64)
+    side_table(problem, 0, out=table[:n])
+    side_table(problem, 1, out=table[n:])
+    return table
+
+
+def side_table(problem, side, out=None):
     """Evaluate one side's combined outputs over the full u-bit domain.
 
-    Returns a uint64 array of length 2^u; this is the 2^u-evaluation table
-    the classical searches work from.
+    Returns a uint64 array of length 2^u, written into out when given;
+    this is the 2^u-evaluation table the classical searches work from.
+    The family reads the shared read-only domain, and each equation's
+    outputs are shifted in place and OR-ed in as uint64, whatever integer
+    dtype the family returns.
     """
     if problem.range_bits * problem.eq_count > 63:
         raise CapacityError("combined range exceeds 64 bits")
-    fam = problem.f_family if side == 0 else problem.g_family
-    xs = np.arange(problem.n_side, dtype=np.uint32)
-    out = np.zeros(problem.n_side, dtype=np.uint64)
-    for fn in fam:
-        out = (out << np.uint64(problem.range_bits)) | fn(xs).astype(np.uint64)
+    first, *rest = problem.f_family if side == 0 else problem.g_family
+    xs = domain(problem.domain_bits)
+    if out is None:
+        out = np.empty(problem.n_side, dtype=np.uint64)
+    np.copyto(out, first(xs), casting="unsafe")
+    for fn in rest:
+        out <<= problem.range_bits
+        np.bitwise_or(out, fn(xs), out=out, dtype=np.uint64,
+                      casting="unsafe")
     return out
 
 
@@ -96,7 +115,8 @@ def find_claws_sorted(problem):
 
     Returns (claws, evaluations) with evaluations == 2^(u+1) exactly.
     Each table entry is packed into one key value << (u+1) | side << u |
-    index, and the 2^(u+1) keys are sorted once: equal values become
+    index, in place in the one 2^(u+1)-entry buffer both side tables are
+    written into, and the keys are sorted once: equal values become
     adjacent, f entries (side 0) before g entries, each side in index
     order.  A value found on both sides is then exactly one f->g step
     between neighbours, and expanding its run into the (x1, x2) cross
@@ -106,15 +126,20 @@ def find_claws_sorted(problem):
     key_bits = problem.range_bits * problem.eq_count + u + 1
     if key_bits > 64:
         raise CapacityError(f"sort key of {key_bits} bits exceeds 64")
-    index = np.arange(problem.n_side, dtype=np.uint64)
-    index_mask = index[-1]
-    keys = np.concatenate([side_table(problem, 0) << (u + 1) | index,
-                           side_table(problem, 1) << (u + 1) | (1 << u)
-                           | index])
+    keys = _value_table(problem)
+    keys <<= u + 1
+    # entry j of the table is side j >> u, index j mod 2^u: OR-ing j in
+    # sets both the side and the index bits
+    index = np.arange(keys.size, dtype=np.uint64)
+    keys |= index
     keys.sort()
     # neighbours differing in the side and index bits only are one
-    # value's f -> g step; the value's run of keys is [lo, hi)
-    steps = np.flatnonzero((keys[1:] ^ keys[:-1]) >> u == 1)
+    # value's f -> g step; the value's run of keys is [lo, hi).  The
+    # index buffer is spent, so the neighbour XOR is written into it
+    neighbours = np.bitwise_xor(keys[1:], keys[:-1], out=index[:-1])
+    neighbours >>= u
+    steps = np.flatnonzero(neighbours == 1)
+    index_mask = np.uint64(problem.n_side - 1)
     lo = np.searchsorted(keys, keys[steps] >> (u + 1) << (u + 1))
     hi = np.searchsorted(keys, keys[steps + 1] | index_mask, side="right")
     claws = [(int(a & index_mask), int(b & index_mask))

@@ -5,6 +5,8 @@ width (3..16 bits).  All helpers also accept numpy integer arrays so the
 hot paths (claw tables, exhaustive key sweeps) can run vectorized.
 """
 
+import functools
+
 import numpy as np
 
 MIN_WIDTH = 3
@@ -13,6 +15,16 @@ MAX_WIDTH = 16
 
 def mask(width):
     return (1 << width) - 1
+
+
+@functools.cache
+def domain(bits):
+    """All 2^bits words in order as one read-only intp array, built once
+    per width: the index the claw side tables and the key sweeps read
+    the whole domain with."""
+    words = np.arange(1 << bits, dtype=np.intp)
+    words.flags.writeable = False
+    return words
 
 
 def check_width(width):

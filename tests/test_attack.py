@@ -12,7 +12,7 @@ from clawbench.cipher import (FeistelSpec, feistel_encrypt, partial_decrypt,
                               random_subkeys, simeck_f, simeck_key_schedule)
 from clawbench.claw import find_claws_exhaustive, find_claws_sorted
 from clawbench.grover import grover_iterations
-from clawbench.words import mask
+from clawbench.words import domain, mask
 
 from family_law import member_collides, rule_delta
 
@@ -517,9 +517,10 @@ def test_full_width_gathers_index_with_intp():
 
 
 def test_sweeps_read_one_shifted_table_per_equation(monkeypatch):
-    """The K5, K4 and resolve sweeps decrypt no array: each reads F_r over
-    the whole domain twice, unshifted and XOR-shifted for its first
-    equation, and reads a later equation only at the survivors."""
+    """The K5, K4 and resolve sweeps decrypt no array: each gathers F_r
+    over the whole domain once, XOR-shifted for its first equation (the
+    unshifted read is the table itself), and reads a later equation only
+    at the survivors."""
     sweep, round_f = attack._derivative_sweep, FeistelSpec.round_f
     decrypt = attack.partial_decrypt
     reads, sweeps = [], []
@@ -536,9 +537,9 @@ def test_sweeps_read_one_shifted_table_per_equation(monkeypatch):
         reads.clear()
         out = sweep(round_index, origin, equations, spec)
         n = 1 << spec.word_width
-        assert reads[:2] == [n, n]
-        assert len(reads) == 2 * len(equations)
-        assert all(size < n for size in reads[2:])
+        assert reads[:1] == [n]
+        assert len(reads) == 2 * len(equations) - 1
+        assert all(size < n for size in reads[1:])
         sweeps.append(round_index)
         return out
 
@@ -548,6 +549,23 @@ def test_sweeps_read_one_shifted_table_per_equation(monkeypatch):
     for spec, pair_set in resolve_instances():
         run_asr_attack(pair_set, spec)
     assert {4, 3, 2} == set(sweeps)     # K5, K4 and resolve sweeps
+
+
+def test_attack_leaves_round_tables_and_domain_unchanged():
+    """The sweeps and side tables XOR in place next to the round tables
+    and the shared domain; a full attack on every backend leaves both
+    bit-identical."""
+    cases = [(vectors.SPEC, paper_pair_set(with_extra=True))]
+    for w, function in ((8, "simeck"), (12, "random")):
+        spec = FeistelSpec(word_width=w, round_function=function, seed=w)
+        cases.append((spec, make_pair_set(spec, random_subkeys(spec, 2), 2)))
+    for spec, pair_set in cases:
+        before = [t.copy() for t in (*spec._tables,
+                                     domain(spec.word_width))]
+        for backend in ("classical", "walk-sim"):
+            run_asr_attack(pair_set, spec, backends=backend)
+        after = (*spec._tables, domain(spec.word_width))
+        assert all(np.array_equal(b, a) for b, a in zip(before, after))
 
 
 def test_classical_evals_do_not_depend_on_grover_misses():

@@ -44,6 +44,25 @@ def test_round_f_is_one_shared_simeck_table():
 
 
 @pytest.mark.parametrize("function", ["simeck", "random"])
+def test_round_tables_are_read_only(function):
+    """table(i) is F_i over the domain in order, and it cannot be written,
+    not even as a stray out= of an in-place XOR."""
+    spec = FeistelSpec(word_width=10, round_function=function, seed=4)
+    xs = np.arange(1 << 10)
+    for i in range(1, spec.rounds + 1):
+        table = spec.table(i)
+        assert table is spec._tables[i - 1]
+        assert np.array_equal(table, spec.round_f(i, xs))
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1
+        with pytest.raises(ValueError):
+            np.bitwise_xor(table, 1, out=table)
+    with pytest.raises(ValueError):
+        spec.table(spec.rounds + 1)
+
+
+@pytest.mark.parametrize("function", ["simeck", "random"])
 def test_round_f_index_dtypes(function):
     """An index array of any integer dtype gives the table's uint32 words;
     a word, Python or numpy, gives an np.uint32."""

@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from clawbench.attack import build_claw_problem, make_pair_set
+from clawbench.cipher import FeistelSpec, random_subkeys
 from clawbench.claw import (CapacityError, ClawProblem, concat_multi,
                             find_claws_exhaustive, find_claws_sorted,
                             side_table)
@@ -117,3 +121,117 @@ def test_family_length_mismatch_rejected():
     with pytest.raises(ValueError):
         ClawProblem(domain_bits=2, range_bits=3,
                     f_family=(lambda x: x,), g_family=())
+
+
+def concatenate_side_table(problem, side):
+    """The packing find_claws_sorted used before its in-place key buffer:
+    one shifted uint64 copy per equation."""
+    fam = problem.f_family if side == 0 else problem.g_family
+    xs = np.arange(problem.n_side, dtype=np.uint32)
+    out = np.zeros(problem.n_side, dtype=np.uint64)
+    for fn in fam:
+        out = (out << np.uint64(problem.range_bits)) | fn(xs).astype(np.uint64)
+    return out
+
+
+def concatenate_find_claws(problem):
+    """Reference copy of the concatenate packing and step scan."""
+    u = problem.domain_bits
+    index = np.arange(problem.n_side, dtype=np.uint64)
+    index_mask = index[-1]
+    keys = np.concatenate([
+        concatenate_side_table(problem, 0) << (u + 1) | index,
+        concatenate_side_table(problem, 1) << (u + 1) | (1 << u) | index])
+    keys.sort()
+    steps = np.flatnonzero((keys[1:] ^ keys[:-1]) >> u == 1)
+    lo = np.searchsorted(keys, keys[steps] >> (u + 1) << (u + 1))
+    hi = np.searchsorted(keys, keys[steps + 1] | index_mask, side="right")
+    return [(int(a & index_mask), int(b & index_mask))
+            for step, first, end in zip(steps, lo, hi)
+            for a in keys[first:step + 1] for b in keys[step + 1:end]]
+
+
+def block_tables(rng, n, v, eqs, blocks):
+    """Random eqs-equation tables with planted K_{a,b} claw blocks: each
+    block gives a f entries and b g entries one shared value."""
+    f_tabs, g_tabs = (rng.integers(0, 1 << v, size=(eqs, n), dtype=np.uint64)
+                      for _ in range(2))
+    for a, b in blocks:
+        value = rng.integers(0, 1 << v, size=(eqs, 1), dtype=np.uint64)
+        f_tabs[:, rng.choice(n, size=a, replace=False)] = value
+        g_tabs[:, rng.choice(n, size=b, replace=False)] = value
+    return f_tabs, g_tabs
+
+
+def uint64_problem(f_tabs, g_tabs, u, v):
+    return ClawProblem(
+        domain_bits=u, range_bits=v,
+        f_family=tuple((lambda x, t=t: t[x]) for t in f_tabs),
+        g_family=tuple((lambda x, t=t: t[x]) for t in g_tabs))
+
+
+@pytest.mark.parametrize("eqs", [1, 2])
+def test_sorted_claws_equal_the_concatenate_packing(eqs):
+    """Same claws, in the same order, as the concatenate packing: small
+    ranges give chance collisions, planted K_{a,b} blocks long runs."""
+    rng = np.random.default_rng(eqs)
+    for u in range(1, 13):
+        n = 1 << u
+        for v, blocks in ((max(1, u // 2), ()), (u + 3, ()),
+                          (u + 3, ((1, 1), (2, 3), (4, 2)) if n >= 4
+                           else ((1, 2),))):
+            problem = uint64_problem(*block_tables(rng, n, v, eqs, blocks),
+                                     u, v)
+            claws, evals = find_claws_sorted(problem)
+            assert evals == 2 * n
+            assert claws == concatenate_find_claws(problem), (u, v, blocks)
+
+
+def test_sorted_claws_with_a_64_bit_key():
+    # 2 x 29 value bits + 5 index bits + 1 side bit = 64
+    rng = np.random.default_rng(64)
+    for trial in range(20):
+        f_tabs, g_tabs = block_tables(rng, 32, 29, 2, ((2, 2), (1, 3)))
+        for tabs in (f_tabs, g_tabs):
+            tabs[0] |= np.uint64(1 << 28)    # every key's top bit is set
+        problem = uint64_problem(f_tabs, g_tabs, 5, 29)
+        claws, _ = find_claws_sorted(problem)
+        assert claws
+        assert claws == concatenate_find_claws(problem)
+
+
+def test_side_table_packs_any_integer_dtype():
+    """Families returning int64, uint8 or uint32 pack as astype(uint64)
+    copies did; an in-place uint64 |= int64 would raise instead."""
+    rng = np.random.default_rng(5)
+    tabs = rng.integers(0, 256, size=(3, 1 << 8))
+    dtypes = (np.int64, np.uint8, np.uint32)
+    families = [tuple((lambda x, t=t.astype(d): t[x])
+                      for t, d in zip(tabs, order))
+                for order in (dtypes, dtypes[::-1])]
+    problem = ClawProblem(domain_bits=8, range_bits=8,
+                          f_family=families[0], g_family=families[1])
+    for side in (0, 1):
+        got = side_table(problem, side)
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, concatenate_side_table(problem, side))
+    assert find_claws_sorted(problem)[0] == concatenate_find_claws(problem)
+
+
+def test_sorted_census_peak_memory_w16():
+    """Bytes, not time: the traced peak of one sort-and-match census on a
+    w=16 random-F instance (its domain and round tables already built)
+    stays near its one 2^17-entry key buffer and one index buffer of the
+    same size, against 3.5 MiB for the concatenate packing."""
+    spec = FeistelSpec(word_width=16, round_function="random", seed=7)
+    problem = build_claw_problem(
+        make_pair_set(spec, random_subkeys(spec, 3), 3), spec)
+    want = find_claws_sorted(problem)
+    tracemalloc.start()
+    try:
+        got = find_claws_sorted(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak <= 2.25 * 2 ** 20, peak

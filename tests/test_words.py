@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from clawbench.words import (block_to_hex, check_word, hex_digits,
+from clawbench.words import (block_to_hex, check_word, domain, hex_digits,
                              hex_to_block, hex_to_word, mask, rotl,
                              word_to_hex)
 
@@ -9,6 +9,17 @@ from clawbench.words import (block_to_hex, check_word, hex_digits,
 def test_mask():
     assert mask(16) == 0xFFFF
     assert mask(4) == 0xF
+
+
+def test_domain_is_one_shared_read_only_intp_range():
+    for bits in (3, 8, 16):
+        words = domain(bits)
+        assert domain(bits) is words
+        assert words.dtype == np.intp
+        assert np.array_equal(words, np.arange(1 << bits))
+        assert not words.flags.writeable
+        with pytest.raises(ValueError):
+            words ^= 1
 
 
 def test_rotl_known_value():
