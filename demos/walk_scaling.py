@@ -23,7 +23,7 @@ def main():
         prob = sim.run()
         queries = sim.ledger.oracle_queries
         assert queries == ledger_law(params)
-        print(f"{n:>6} {params.r1:>5} {params.t1:>3} {params.outer_reps:>5} "
+        print(f"{n:>6} {params.r:>5} {params.t1:>3} {params.outer_reps:>5} "
               f"{queries:>8} {2 * n:>9} {prob:>10.5f}")
         xs.append(math.log2(n))
         ys.append(math.log2(queries))

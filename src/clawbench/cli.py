@@ -207,11 +207,7 @@ def cmd_scaling(args):
     runs = []
     for u in range(args.min_exp, args.max_exp + 1):
         n = 1 << u
-        try:
-            params = walk_params(n, n, args.multiplier)
-        except OverflowError:
-            raise CapacityError(f"walk parameters for N=2^{u} overflow "
-                                "a float") from None
+        params = walk_params(n, n, args.multiplier)
         check_walk_steps(params)
         runs.append((n, params))
     rows = ["N,r,t1,t2,outer_reps,queries,success_prob,mode"]
@@ -221,7 +217,7 @@ def cmd_scaling(args):
             prob = sim.run()
             queries = sim.ledger.oracle_queries
             assert queries == ledger_law(params)
-            rows.append(f"{n},{params.r1},{params.t1},{params.t2},"
+            rows.append(f"{n},{params.r},{params.t1},{params.t2},"
                         f"{params.outer_reps},{queries},{prob:.6g},collapsed")
         except (CapacityError, ValueError) as exc:
             rows.append(f"{n},,,,,,,skipped: {exc}")

@@ -45,8 +45,7 @@ class UniqueClawRequired(RuntimeError):
 
 @dataclass(frozen=True)
 class WalkParams:
-    r1: int
-    r2: int
+    r: int
     t1: int
     t2: int
     outer_reps: int
@@ -57,34 +56,36 @@ def _cube_root_ceil(x):
 
 
 def walk_params(m, n, multiplier=1.0):
-    """Subset sizes and repetition counts for side domains of size m and n.
+    """Subset size and repetition counts for two side domains of size m = n.
 
-    r1 = r2 = ceil((mn)^(1/3)) in the balanced regime sqrt(n) <= m <= n^2;
-    the lopsided regimes pin the small side's subset to its whole domain.
-    t_b = ceil((pi/4) sqrt(r_b)); the outer count is ceil of
-    multiplier * sqrt(mn / (r1 r2)).
+    The two sides of the paper's claw are both 2^w-key domains, so the
+    walk runs only in Tani's balanced regime, one subset size per side:
+    r = ceil((mn)^(1/3)) and t1 = t2 = ceil((pi/4) sqrt(r)); the outer
+    count is ceil of multiplier * sqrt(mn / r^2).  Raises ValueError for
+    m != n or a multiplier that is not positive and finite, CapacityError
+    when a value overflows a float.
     """
-    if m < 2 or n < 2:
+    if m != n:
+        raise ValueError(f"side domains must have equal size, got {m}, {n}")
+    if m < 2:
         raise ValueError("side domains must have at least 2 elements")
-    if not multiplier > 0:
-        raise ValueError(f"multiplier must be positive, got {multiplier}")
-    rc = _cube_root_ceil(m * n)
-    if m * m < n:                  # m < sqrt(n)
-        r1, r2 = m, max(rc, m)
-    elif m > n * n:
-        r1, r2 = max(rc, n), n
-    else:
-        r1 = r2 = rc
-    t1 = math.ceil(math.pi / 4 * math.sqrt(r1))
-    t2 = math.ceil(math.pi / 4 * math.sqrt(r2))
-    outer = math.ceil(multiplier * math.sqrt(m * n / (r1 * r2)))
-    return WalkParams(r1=r1, r2=r2, t1=t1, t2=t2, outer_reps=outer)
+    if not 0 < multiplier < math.inf:
+        raise ValueError("multiplier must be positive and finite, "
+                         f"got {multiplier}")
+    try:
+        r = _cube_root_ceil(m * n)
+        t = math.ceil(math.pi / 4 * math.sqrt(r))
+        outer = math.ceil(multiplier * math.sqrt(m * n / (r * r)))
+    except OverflowError:
+        raise CapacityError(f"walk parameters for N=2^{math.log2(m):.1f} "
+                            f"and multiplier {multiplier} overflow a float"
+                            ) from None
+    return WalkParams(r=r, t1=t, t2=t, outer_reps=outer)
 
 
 def ledger_law(params):
     """Exact oracle-query count for one run with the given parameters."""
-    return (params.r1 + params.r2
-            + params.outer_reps * (params.t1 + params.t2) * 2)
+    return 2 * params.r + params.outer_reps * (params.t1 + params.t2) * 2
 
 
 def check_walk_steps(params):
@@ -95,6 +96,30 @@ def check_walk_steps(params):
     if steps > WALK_STEP_GUARD:
         raise CapacityError(f"walk of {steps} steps exceeds guard "
                             f"2^{WALK_STEP_GUARD.bit_length() - 1} steps")
+
+
+class _WalkSim:
+    """What both simulators share: the subset-size check, the query ledger
+    with the 2r initial subset loads, and the norm log."""
+
+    def __init__(self, n_side, params):
+        if not 1 <= params.r < n_side:
+            raise ValueError(f"need 1 <= r < N, got r={params.r}, "
+                             f"N={n_side}")
+        self.n_side = n_side
+        self.params = params
+        self.ledger = QueryLedger()
+        self.ledger.charge(2 * params.r)            # initial subset loads
+
+    def _start(self, state):
+        self.state = state
+        self.norm_log = [self.norm()]
+
+    def norm(self):
+        return float(np.linalg.norm(self.state))
+
+    def norm_drift(self):
+        return max(abs(v - 1.0) for v in self.norm_log)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +164,7 @@ def _reflect(state, axis, k):
     return (2 * mean - groups).reshape(shape)
 
 
-class FullWalkSim:
+class FullWalkSim(_WalkSim):
     """Exact joint simulation over every (S1, z1, S2, z2) basis state.
 
     claw indices are given per side (already reduced to 0..N-1 on the
@@ -148,20 +173,12 @@ class FullWalkSim:
     """
 
     def __init__(self, n_side, params, claws):
-        self.n_side = n_side
-        self.params = params
-        if params.r1 != params.r2:
-            raise ValueError("full simulator assumes equal subset sizes")
-        r = params.r1
-        if not (1 <= r < n_side):
-            raise ValueError(f"need 1 <= r < N, got r={r}, N={n_side}")
+        super().__init__(n_side, params)
+        r = params.r
         check_full_basis(n_side, r)
         self.basis, self.insert, self.remove = _side_operators(n_side, r)
         dimension = len(self.basis)
-        self.state = np.full((dimension, dimension), 1 / dimension)
-        self.ledger = QueryLedger()
-        self.ledger.charge(2 * r)                   # initial subset loads
-        self.norm_log = [self.norm()]
+        self._start(np.full((dimension, dimension), 1 / dimension))
 
         self.mark = np.zeros((dimension, dimension), dtype=bool)
         for j1, j2 in claws:
@@ -170,9 +187,6 @@ class FullWalkSim:
             in2 = np.fromiter((j2 in s for s, _ in self.basis),
                               bool, dimension)
             self.mark |= np.outer(in1, in2)
-
-    def norm(self):
-        return float(np.linalg.norm(self.state))
 
     def phase_flip(self):
         self.state = np.where(self.mark, -self.state, self.state)
@@ -188,7 +202,7 @@ class FullWalkSim:
         sub-operator, fine=False once per step; the state is the same.
         """
         axis = side - 1
-        r = self.params.r1
+        r = self.params.r
         for op in (lambda s: _reflect(s, axis, self.n_side - r),
                    lambda s: s.take(self.insert, axis),
                    lambda s: _reflect(s, axis, r + 1),
@@ -212,9 +226,6 @@ class FullWalkSim:
 
     def success_prob(self):
         return float((self.state[self.mark] ** 2).sum())
-
-    def norm_drift(self):
-        return max(abs(v - 1.0) for v in self.norm_log)
 
     def measure(self, rng, claws):
         """Measure (S1, z1, S2, z2); returns the first of claws inside the
@@ -251,30 +262,20 @@ def _collapsed_step_matrix(n_side, r):
     return d_in @ d_out
 
 
-class CollapsedWalkSim:
+class CollapsedWalkSim(_WalkSim):
     """Exact 9-state simulation for an instance with one planted claw; it
     logs one norm per outer repetition."""
 
     def __init__(self, n_side, params):
-        if params.r1 != params.r2:
-            raise ValueError("collapsed simulator assumes equal subset sizes")
-        r = params.r1
-        if not (1 <= r < n_side):
-            raise ValueError(f"need 1 <= r < N, got r={r}, N={n_side}")
-        self.params = params
+        super().__init__(n_side, params)
+        r = params.r
         # class weights: |A| / D = r/N, |B| / D = 1/N, |C| / D = (N-r-1)/N
         side = np.sqrt(np.array([r / n_side, 1 / n_side,
                                  (n_side - r - 1) / n_side]))
-        self.state = np.outer(side, side)
+        self._start(np.outer(side, side))
         step = _collapsed_step_matrix(n_side, r)
         self.block1 = np.linalg.matrix_power(step, params.t1)
         self.block2_t = np.linalg.matrix_power(step, params.t2).T
-        self.ledger = QueryLedger()
-        self.ledger.charge(2 * r)
-        self.norm_log = [self.norm()]
-
-    def norm(self):
-        return float(np.linalg.norm(self.state))
 
     def outer_rep(self):
         """One phase flip, then t1 steps on side 1 and t2 on side 2 as the
@@ -295,9 +296,6 @@ class CollapsedWalkSim:
     def measure(self, rng, claws):
         """The unique claw with the success probability, else None."""
         return claws[0] if rng.random() < self.success_prob() else None
-
-    def norm_drift(self):
-        return max(abs(v - 1.0) for v in self.norm_log)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +344,7 @@ def claw_walk_sample(problem, seed, mode="collapsed", params=None,
     (x1, x2) order, when the caller has one (the attack hands over its
     sort-and-match result), else the exhaustive scan's.  Every refusal
     comes before tuning: collapsed mode needs a unique claw, full mode a
-    basis within the guard.
+    basis within the guard, and either mode a walk within the step guard.
     """
     if mode not in ("collapsed", "full"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -360,8 +358,9 @@ def claw_walk_sample(problem, seed, mode="collapsed", params=None,
     if mode == "collapsed" and len(all_claws) != 1:
         raise UniqueClawRequired(
             f"collapsed mode needs a unique claw, found {len(all_claws)}")
+    check_walk_steps(params)
     if mode == "full":
-        check_full_basis(n, params.r1)
+        check_full_basis(n, params.r)
     if tune:
         params = tune_outer_reps(n, params)
     sim = (CollapsedWalkSim(n, params) if mode == "collapsed"

@@ -217,7 +217,7 @@ def test_criterion_7_toy_quantum_attack(capsys):
     # to the classical claw search by contract); its tuned success
     # probability must beat twice the (r/N)^2 random-subset baseline
     params = walk_params(256, 256)
-    baseline = (params.r1 / 256) * (params.r2 / 256)
+    baseline = (params.r / 256) ** 2
     amplified = bool(walk_probs) and all(p >= 2 * baseline
                                          for p in walk_probs)
     ok = equal == 50 and amplified

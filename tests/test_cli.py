@@ -278,6 +278,57 @@ def test_sim_clawwalk_full_matches_collapsed_success(capsys):
     assert p_f == pytest.approx(p_c, abs=1e-10)
 
 
+# sim-clawwalk --seed 0: (bits, mode, tune), then the reported params as
+# (r, t1, t2, outer_reps), repr(success_prob), oracle_queries, retries and
+# sampled_claw
+CLAWWALK_PINS = [
+    (3, "collapsed", True, (4, 2, 2, 6), "0.29729260945773306", 112, 2,
+     [2, 6]),
+    (3, "collapsed", False, (4, 2, 2, 2), "0.04751869838786557", 72, 3,
+     [2, 6]),
+    (3, "full", True, (4, 2, 2, 6), "0.29729260945773317", 224, 4, [2, 6]),
+    (3, "full", False, (4, 2, 2, 2), "0.04751869838786566", 72, 3, [2, 6]),
+    (4, "collapsed", True, (7, 3, 3, 4), "0.27317226911308296", 124, 2,
+     [8, 10]),
+    (4, "collapsed", False, (7, 3, 3, 3), "0.11176478750535397", 150, 3,
+     [8, 10]),
+    (5, "collapsed", True, (11, 3, 3, 5), "0.1286932753189509", 246, 3,
+     [1, 2]),
+    (5, "collapsed", False, (11, 3, 3, 3), "0.10349739442334714", 174, 3,
+     [1, 2]),
+    (6, "collapsed", True, (16, 4, 4, 11), "0.1071130040407016", 624, 3,
+     [55, 5]),
+    (6, "collapsed", False, (16, 4, 4, 4), "0.03991723343753635", 384, 4,
+     [55, 5]),
+    (7, "collapsed", True, (26, 5, 5, 15), "0.06966069004600293", 1056, 3,
+     [99, 1]),
+    (7, "collapsed", False, (26, 5, 5, 5), "0.029439138770590446", 608, 4,
+     [99, 1]),
+    (8, "collapsed", True, (41, 6, 6, 12), "0.06342090659555641", 1110, 3,
+     [34, 182]),
+    (8, "collapsed", False, (41, 6, 6, 7), "0.011029410489888687", 3000, 12,
+     [34, 182]),
+]
+
+
+@pytest.mark.parametrize("bits, mode, tune, params, prob, queries, retries, "
+                         "claw", CLAWWALK_PINS)
+def test_sim_clawwalk_outputs_are_pinned(capsys, bits, mode, tune, params,
+                                         prob, queries, retries, claw):
+    code, out, _ = run_cli(capsys, "sim-clawwalk", "--bits", str(bits),
+                           "--mode", mode,
+                           "--tune" if tune else "--no-tune")
+    assert code == 0
+    report = json.loads(out)
+    r, t1, t2, outer = params
+    assert report["params"] == {"r": r, "t1": t1, "t2": t2,
+                                "outer_reps": outer}
+    assert repr(report["success_prob"]) == prob
+    assert report["oracle_queries"] == queries
+    assert report["retries"] == retries
+    assert report["sampled_claw"] == report["planted_claw"] == claw
+
+
 def test_sim_clawwalk_refuses_bits_before_building_tables(capsys,
                                                           monkeypatch):
     def refuse(*args):
@@ -311,6 +362,46 @@ def test_scaling_csv(capsys):
     assert int(queries) == 2 * int(r) + int(outer) * (int(t1) + int(t2)) * 2
 
 
+SCALING_3_16 = """\
+N,r,t1,t2,outer_reps,queries,success_prob,mode
+8,4,2,2,2,24,0.0475187,collapsed
+8,,,,,16,1,classical-sorted
+16,7,3,3,3,50,0.111765,collapsed
+16,,,,,32,1,classical-sorted
+32,11,3,3,3,58,0.103497,collapsed
+32,,,,,64,1,classical-sorted
+64,16,4,4,4,96,0.0399172,collapsed
+64,,,,,128,1,classical-sorted
+128,26,5,5,5,152,0.0294391,collapsed
+128,,,,,256,1,classical-sorted
+256,41,6,6,7,250,0.0110294,collapsed
+256,,,,,512,1,classical-sorted
+512,64,7,7,8,352,0.00652668,collapsed
+512,,,,,1024,1,classical-sorted
+1024,102,8,8,11,556,0.00101716,collapsed
+1024,,,,,2048,1,classical-sorted
+2048,162,10,10,13,844,1.33102e-05,collapsed
+2048,,,,,4096,1,classical-sorted
+4096,256,13,13,16,1344,0.00660829,collapsed
+4096,,,,,8192,1,classical-sorted
+8192,407,16,16,21,2158,0.000497259,collapsed
+8192,,,,,16384,1,classical-sorted
+16384,646,20,20,26,3372,0.000414042,collapsed
+16384,,,,,32768,1,classical-sorted
+32768,1024,26,26,32,5376,4.49022e-05,collapsed
+32768,,,,,65536,1,classical-sorted
+65536,1626,32,32,41,8500,1.30087e-06,collapsed
+65536,,,,,131072,1,classical-sorted
+"""
+
+
+def test_scaling_csv_is_pinned(capsys):
+    code, out, _ = run_cli(capsys, "scaling", "--min-exp", "3",
+                           "--max-exp", "16")
+    assert code == 0
+    assert out == SCALING_3_16
+
+
 def test_scaling_classical_row_charges_the_sorted_search(capsys):
     code, out, _ = run_cli(capsys, "scaling", "--min-exp", "6",
                            "--max-exp", "8")
@@ -331,7 +422,7 @@ def test_scaling_rejects_an_empty_range(capsys):
     assert "empty sweep" in err
 
 
-@pytest.mark.parametrize("multiplier", ["-1", "0", "nan"])
+@pytest.mark.parametrize("multiplier", ["-1", "0", "nan", "inf"])
 def test_walk_commands_reject_a_multiplier_that_is_not_positive(
         capsys, multiplier):
     for argv in (("scaling", "--min-exp", "6", "--max-exp", "6"),
@@ -366,6 +457,27 @@ def test_scaling_refuses_float_overflow_before_any_run(capsys, monkeypatch):
     assert out == ""
     assert err.count("\n") == 1
     assert "overflow" in err
+
+
+def test_sim_clawwalk_refuses_float_overflow(capsys):
+    code, out, err = run_cli(capsys, "sim-clawwalk", "--bits", "4",
+                             "--multiplier", "1e308")
+    assert code == 4
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "overflow" in err
+
+
+def test_sim_clawwalk_refuses_step_count_before_tuning(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a walk ran before the refusal")
+
+    monkeypatch.setattr("clawbench.walk.tune_outer_reps", refuse)
+    code, out, err = run_cli(capsys, "sim-clawwalk", "--bits", "4",
+                             "--multiplier", "1e7")
+    assert code == 4
+    assert out == ""
+    assert "steps exceeds guard" in err
 
 
 def test_walk_step_guard_boundary():

@@ -16,17 +16,17 @@ from clawbench.walk import (CollapsedWalkSim, FullWalkSim, UniqueClawRequired,
 
 def test_walk_params_balanced():
     p = walk_params(8, 8)
-    assert (p.r1, p.r2, p.t1, p.t2, p.outer_reps) == (4, 4, 2, 2, 2)
+    assert (p.r, p.t1, p.t2, p.outer_reps) == (4, 2, 2, 2)
 
 
 def test_walk_params_lopsided():
-    p = walk_params(4, 64)
-    assert (p.r1, p.r2) == (4, 7)
-    assert (p.t1, p.t2) == (2, 3)
+    # both claw sides are 2^w-key domains: only the balanced regime runs
+    with pytest.raises(ValueError, match="equal size"):
+        walk_params(4, 64)
 
 
 def test_ledger_law():
-    p = WalkParams(r1=41, r2=41, t1=6, t2=6, outer_reps=12)
+    p = WalkParams(r=41, t1=6, t2=6, outer_reps=12)
     assert ledger_law(p) == 41 + 41 + 12 * (6 + 6) * 2
 
 
@@ -69,7 +69,7 @@ def test_collapsed_step_is_orthogonal():
 
 
 def test_walk_without_phase_flip_fixes_uniform_state():
-    params = WalkParams(2, 2, 3, 3, 1)
+    params = WalkParams(2, 3, 3, 1)
     sim = FullWalkSim(6, params, claws=[(0, 0)])
     uniform = sim.state.copy()
     for _ in range(4):
@@ -117,7 +117,7 @@ def stepwise_reference(n_side, params):
     phase flip, then t1 steps on side 1 and t2 on side 2, each logging the
     norm.  Returns the success probability after every repetition, the
     query count and the norm log."""
-    r = params.r1
+    r = params.r
     side = np.sqrt(np.array([r, 1, n_side - r - 1]) / n_side)
     state = np.outer(side, side)
     step = _collapsed_step_matrix(n_side, r)
@@ -180,9 +180,9 @@ def test_small_instance_amplification_is_weak():
     reaches 2x the (r/N)^2 = 0.25 baseline; the best probability over
     t, outer <= 12 is ~0.42 (at t=2, outer=8), and the headline
     (t=2, outer=2) configuration only reaches ~0.0149."""
-    p_default = CollapsedWalkSim(4, WalkParams(2, 2, 2, 2, 2)).run()
+    p_default = CollapsedWalkSim(4, WalkParams(2, 2, 2, 2)).run()
     assert p_default == pytest.approx(0.01488615706641165, abs=1e-12)
-    best = max(CollapsedWalkSim(4, WalkParams(2, 2, t, t, o)).run()
+    best = max(CollapsedWalkSim(4, WalkParams(2, t, t, o)).run()
                for t in range(1, 6) for o in range(1, 13))
     assert best == pytest.approx(0.4177657271418196, abs=1e-9)
     assert best < 0.5
@@ -192,7 +192,7 @@ def test_tuned_outer_reps_beat_baseline_at_n256():
     params = walk_params(256, 256)
     tuned = tune_outer_reps(256, params)
     prob = CollapsedWalkSim(256, tuned).run()
-    baseline = (tuned.r1 / 256) ** 2
+    baseline = (tuned.r / 256) ** 2
     assert prob >= 2 * baseline
     assert prob == pytest.approx(0.06342090659555644, abs=1e-9)
 
@@ -204,7 +204,7 @@ def test_tuning_from_one_run_equals_per_count_resimulation():
             params = walk_params(n, n, multiplier)
             # reference: a fresh simulation for every candidate count
             probs = [CollapsedWalkSim(n, WalkParams(
-                params.r1, params.r2, params.t1, params.t2, outer)).run()
+                params.r, params.t1, params.t2, outer)).run()
                 for outer in range(1, 3 * params.outer_reps + 1)]
             want = probs.index(max(probs)) + 1
             assert tune_outer_reps(n, params).outer_reps == want, \
@@ -287,4 +287,4 @@ def test_claw_walk_sample_full_mode(monkeypatch):
 
 def test_full_sim_capacity_guard():
     with pytest.raises(CapacityError):
-        FullWalkSim(64, WalkParams(16, 16, 4, 4, 4), claws=[(0, 0)])
+        FullWalkSim(64, WalkParams(16, 4, 4, 4), claws=[(0, 0)])
