@@ -7,8 +7,8 @@ from .claw import (CapacityError, ClawProblem, concat_multi,
                    find_claws_exhaustive, find_claws_sorted)
 from .attack import (AttackError, ChosenPairSet, QueryStats, RecoveredKeys,
                      build_claw_problem, diff_f, diff_g, k1k3_constant,
-                     k3_check_paper, make_chosen_plaintext, make_pair_set,
-                     resolve_k1_k2_k3, run_asr_attack)
+                     make_chosen_plaintext, make_pair_set, resolve_k1_k2_k3,
+                     run_asr_attack)
 from .grover import (GroverInstance, QueryLedger, grover_iterations,
                      grover_run_statevector, grover_sample,
                      grover_success_prob)

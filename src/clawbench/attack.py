@@ -11,9 +11,7 @@ single-key difference checks, and K1 ^ K3 is fixed as a constant.
 With only rule-constrained pairs, (K1, K2, K3) is identifiable only up to
 a one-parameter equivalence family (K1 free, K2 and K3 determined); one
 extra pair violating the rule cuts the family down to a few candidates
-(see resolve_k1_k2_k3 for why not always to one).  k3_check_paper
-implements the round-1 matching predicate literally to demonstrate that
-it is independent of K3 on rule pairs.
+(see resolve_k1_k2_k3 for why not always to one).
 
 Every stage after the claw peels ciphertexts back through the rounds
 whose keys are already known, resolve included, and every full-domain
@@ -22,8 +20,11 @@ key sweep is a derivative of one round function: by the peel lemma
 F_r(y) ^ F_r(y ^ d) == t at y = k ^ e, with e and t from one scalar
 cipher.partial_decrypt per ciphertext.  It costs one XOR-shifted gather
 over the domain, since F_r over the domain in order is its table, and
-decrypts no array.  The K5 and K4 sweeps, resolve's K1 sweep and the
-claw's g side (diff_g) all take that form.
+decrypts no array.  The K5 and K4 sweeps, resolve's K1 sweep and both
+claw sides take that form: the f side (diff_f) is a derivative of F_3 at
+y = K2' ^ L1 of pair 1, the g side (diff_g) one of F_5 at y = K6 ^ e1,
+and build_claw_problem tabulates each side in its y coordinates, with
+the XOR origin the claw censuses undo.
 
 Each stage's inputs are computed once: one claw census per attack,
 K1 ^ K3 once per claw (K2', K6), one K5 sweep per K6 and one K4 sweep per
@@ -145,22 +146,34 @@ def _peel_terms(ct, known, spec):
     return int(right), int(left ^ spec.round_f(r + 1, right))
 
 
+def _derivative(round_index, ys, d, spec, offset=0):
+    """F(y) ^ F(y ^ d) ^ offset at every y in ys, F = F_round_index.
+
+    Over the whole domain in order, F(y) is F's table, so the derivative
+    is one XOR-shifted gather, XOR-ed in place with the table: the one
+    primitive every key sweep and both claw sides read.
+    """
+    diff = spec.round_f(round_index, ys ^ d)
+    diff ^= (spec.table(round_index) if ys is domain(spec.word_width)
+             else spec.round_f(round_index, ys))
+    if offset:
+        diff ^= offset
+    return diff
+
+
 def _derivative_sweep(round_index, origin, equations, spec):
     """Ascending keys k in [0, 2^w) with F(y) ^ F(y ^ d) == t for every
     (d, t) in equations, where y = k ^ origin and F = F_round_index.
 
-    y runs over the whole domain as k does, and F over the domain in
-    order is F's table, so the first equation is one XOR-shifted gather
-    over the domain, XOR-ed in place with the table; each later equation
-    is read only at the survivors of those before it.
+    y runs over the whole domain as k does, so the first equation is one
+    derivative over the domain; each later equation is read only at the
+    survivors of those before it.
     """
     (d, t), *rest = equations
-    diff = spec.round_f(round_index, domain(spec.word_width) ^ d)
-    diff ^= spec.table(round_index)
-    hits = np.flatnonzero(diff == t)
+    hits = np.flatnonzero(
+        _derivative(round_index, domain(spec.word_width), d, spec) == t)
     for d, t in rest:
-        hits = hits[spec.round_f(round_index, hits)
-                    ^ spec.round_f(round_index, hits ^ d) == t]
+        hits = hits[_derivative(round_index, hits, d, spec) == t]
     keys = hits ^ origin
     keys.sort()
     return keys
@@ -210,31 +223,20 @@ def diff_g(x, pair_set, pair_idx, spec):
 
 
 def build_claw_problem(pair_set, spec):
-    """Two-equation claw problem whose expected claw is (K2', K6)."""
-    w = spec.word_width
-    f_family = tuple(
-        (lambda x, p=p: diff_f(x, pair_set, p, spec)) for p in (2, 3))
-    g_family = tuple(
-        (lambda x, p=p: diff_g(x, pair_set, p, spec)) for p in (2, 3))
-    return ClawProblem(domain_bits=w, range_bits=w,
-                       f_family=f_family, g_family=g_family)
-
-
-def k3_check_paper(k3, k4, k5, k6, pair_set, pair_idx, spec):
-    """Round-1 matching, taken literally.
-
-    On rule-constrained pairs the reconstructed round-2 left states of the
-    two pairs are equal for every k3 guess, so the F_2 difference term
-    cancels and the verdict is independent of k3.  The predicate exists to
-    demonstrate exactly that degeneracy.
-    """
-    if pair_idx not in (2, 3):
-        raise ValueError("pair_idx must be 2 or 3")
-    (l1, e1), (lp, ep) = (_peel_terms(pair_set.pairs[i][1], (k4, k5, k6),
-                                      spec)
-                          for i in (0, pair_idx - 1))
-    diff = l1 ^ lp ^ spec.round_f(2, e1 ^ k3) ^ spec.round_f(2, ep ^ k3)
-    return bool(np.all(diff == _plaintext_left_diff(pair_set, pair_idx)))
+    """Two-equation claw problem whose expected claw is (K2', K6), built
+    in the derivative coordinates y = x ^ L1^(1) (f side) and z = x ^ e1
+    (g side): there diff_f is F_3(y) ^ F_3(y ^ L1^(1) ^ L1^(p)) and diff_g
+    is l1 ^ lp ^ F_5(z) ^ F_5(z ^ e1 ^ ep), each one derivative of a round
+    table.  The problem's origins map its claws back to (K2', K6)."""
+    l1a, *l1bs = (pt[0] for pt, _ in pair_set.pairs)
+    (l1, e1), *rest = (_peel_terms(ct, (), spec) for _, ct in pair_set.pairs)
+    f_family = tuple(functools.partial(_derivative, 3, d=l1a ^ l1b, spec=spec)
+                     for l1b in l1bs)
+    g_family = tuple(functools.partial(_derivative, 5, d=e1 ^ ep, spec=spec,
+                                       offset=l1 ^ lp) for lp, ep in rest)
+    return ClawProblem(domain_bits=spec.word_width,
+                       range_bits=spec.word_width, f_family=f_family,
+                       g_family=g_family, origins=(l1a, e1))
 
 
 def k1k3_constant(pair_set, k2_prime, k5, k6, spec):

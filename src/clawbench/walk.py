@@ -321,8 +321,12 @@ def tune_outer_reps(n_side, params, max_multiplier=3):
     cheap 9-state simulation is scanned to choose it: one run records the
     success probability after every repetition, and the first maximum
     wins.  A run of k repetitions applies the same floating-point
-    operations as the first k repetitions of a longer one.
+    operations as the first k repetitions of a longer one.  The scan is
+    itself a walk of max_multiplier * outer_reps repetitions, so it must
+    pass the step guard before anything is simulated.
     """
+    check_walk_steps(replace(params,
+                             outer_reps=max_multiplier * params.outer_reps))
     sim = CollapsedWalkSim(n_side, params)
     probs = []
     for _ in range(max_multiplier * params.outer_reps):

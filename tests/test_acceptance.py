@@ -18,8 +18,7 @@ import pytest
 
 from clawbench import vectors
 from clawbench.attack import (build_claw_problem, family_member,
-                              k3_check_paper, make_pair_set, run_asr_attack,
-                              true_k2_prime)
+                              make_pair_set, run_asr_attack, true_k2_prime)
 from clawbench.cipher import FeistelSpec, feistel_encrypt, random_subkeys, \
     simeck_key_schedule
 from clawbench.claw import ClawProblem, concat_multi, find_claws_exhaustive
@@ -29,6 +28,7 @@ from clawbench.walk import (CollapsedWalkSim, FullWalkSim, ledger_law,
                             walk_params)
 
 from family_law import exact_separation_rate, member_collides, rule_delta
+from k3_check import k3_check_paper
 
 
 def report(capsys, number, ok, detail=""):

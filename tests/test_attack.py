@@ -1,20 +1,24 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from clawbench import attack, vectors, walk
 from clawbench.attack import (GROVER_RETRIES, AttackError, ChosenPairSet,
                               QueryStats, build_claw_problem, diff_f, diff_g,
-                              family_member, k1k3_constant, k3_check_paper,
+                              family_member, k1k3_constant,
                               make_chosen_plaintext, make_pair_set,
                               resolve_k1_k2_k3, run_asr_attack,
                               schedule_consistent, true_k2_prime)
 from clawbench.cipher import (FeistelSpec, feistel_encrypt, partial_decrypt,
                               random_subkeys, simeck_f, simeck_key_schedule)
-from clawbench.claw import find_claws_exhaustive, find_claws_sorted
+from clawbench.claw import (concat_multi, find_claws_exhaustive,
+                            find_claws_sorted, side_table)
 from clawbench.grover import grover_iterations
 from clawbench.words import domain, mask
 
 from family_law import member_collides, rule_delta
+from k3_check import k3_check_paper
 
 
 def paper_pair_set(with_extra=False):
@@ -549,6 +553,84 @@ def test_sweeps_read_one_shifted_table_per_equation(monkeypatch):
     for spec, pair_set in resolve_instances():
         run_asr_attack(pair_set, spec)
     assert {4, 3, 2} == set(sweeps)     # K5, K4 and resolve sweeps
+
+
+def relabel_instances():
+    """The paper vectors and three random-F w=16 instances."""
+    yield vectors.SPEC, paper_pair_set(with_extra=True)
+    spec = FeistelSpec(word_width=16, round_function="random", seed=7)
+    for seed in range(3):
+        yield spec, make_pair_set(spec, random_subkeys(spec, seed), seed)
+
+
+def diff_pack(pair_set, spec):
+    """Each side's two equations packed at every x, equation 1 high, from
+    the definitions diff_f and diff_g."""
+    xs = np.arange(1 << spec.word_width)
+    return [diff(xs, pair_set, 2, spec).astype(np.uint64) << spec.word_width
+            | diff(xs, pair_set, 3, spec) for diff in (diff_f, diff_g)]
+
+
+def test_side_tables_are_the_difference_functions_relabelled():
+    """Entry x ^ origin of a side table is the pack of diff_f (f side) or
+    diff_g (g side) at x, for every x."""
+    for spec, pair_set in relabel_instances():
+        problem = build_claw_problem(pair_set, spec)
+        assert all(problem.origins)
+        xs = domain(spec.word_width)
+        for side, (want, origin) in enumerate(
+                zip(diff_pack(pair_set, spec), problem.origins)):
+            assert np.array_equal(side_table(problem, side)[xs ^ origin],
+                                  want), side
+
+
+def test_concat_multi_undoes_the_origins():
+    """Criterion 8's property with nonzero origins: the combined function
+    of the attack's problem is the pack of diff_f and diff_g at x, on
+    both halves of its domain."""
+    for spec, pair_set in relabel_instances():
+        problem = build_claw_problem(pair_set, spec)
+        combined = concat_multi(problem)
+        want = np.concatenate(diff_pack(pair_set, spec)).tolist()
+        assert [combined(j) for j in range(2 * problem.n_side)] == want
+
+
+def test_claw_census_gathers_once_per_equation(monkeypatch):
+    """Each claw equation is one derivative of a round table, read with
+    one full-width gather: a census makes 4, where evaluating diff_f and
+    diff_g would make 8."""
+    round_f = FeistelSpec.round_f
+    reads = []
+
+    def counting_round_f(spec, round_index, x):
+        reads.append((round_index, np.size(x)))
+        return round_f(spec, round_index, x)
+
+    monkeypatch.setattr(FeistelSpec, "round_f", counting_round_f)
+    for spec, pair_set in relabel_instances():
+        problem = build_claw_problem(pair_set, spec)
+        reads.clear()
+        find_claws_sorted(problem)
+        assert reads == [(3, problem.n_side)] * 2 + [(5, problem.n_side)] * 2
+
+
+def test_attack_peak_memory_w16():
+    """Bytes, not time: the traced peak of a whole classical attack, on
+    the paper vectors and on a random-F w=16 instance (domain and round
+    tables already built), stays near the census's one 2^17-entry key
+    buffer, 1 MiB, plus one equation's 512 KiB gather index and its
+    256 KiB result."""
+    cases = list(relabel_instances())[:2]
+    for spec, pair_set in cases:
+        want = run_asr_attack(pair_set, spec)
+        tracemalloc.start()
+        try:
+            got = run_asr_attack(pair_set, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak <= 1.875 * 2 ** 20, peak
 
 
 def test_attack_leaves_round_tables_and_domain_unchanged():

@@ -187,6 +187,22 @@ def test_sorted_claws_equal_the_concatenate_packing(eqs):
             assert claws == concatenate_find_claws(problem), (u, v, blocks)
 
 
+def test_sorted_claws_across_step_scan_blocks():
+    """At u = 16 the step scan runs over four blocks of keys.  With f and
+    g the identity every even neighbour pair, the first of each block
+    included, is one claw's step; 16-bit random values give about 2^16
+    claws spread over every block."""
+    n = 1 << 16
+    identity = np.arange(n, dtype=np.uint64)[None, :]
+    problem = uint64_problem(identity, identity, 16, 16)
+    assert find_claws_sorted(problem)[0] == [(x, x) for x in range(n)]
+    rng = np.random.default_rng(16)
+    problem = uint64_problem(*block_tables(rng, n, 16, 1, ()), 16, 16)
+    claws, _ = find_claws_sorted(problem)
+    assert len(claws) > 1 << 15
+    assert claws == concatenate_find_claws(problem)
+
+
 def test_sorted_claws_with_a_64_bit_key():
     # 2 x 29 value bits + 5 index bits + 1 side bit = 64
     rng = np.random.default_rng(64)
@@ -221,8 +237,8 @@ def test_side_table_packs_any_integer_dtype():
 def test_sorted_census_peak_memory_w16():
     """Bytes, not time: the traced peak of one sort-and-match census on a
     w=16 random-F instance (its domain and round tables already built)
-    stays near its one 2^17-entry key buffer and one index buffer of the
-    same size, against 3.5 MiB for the concatenate packing."""
+    stays near its one 2^17-entry key buffer, the only full-width array
+    it holds, against 3.5 MiB for the concatenate packing."""
     spec = FeistelSpec(word_width=16, round_function="random", seed=7)
     problem = build_claw_problem(
         make_pair_set(spec, random_subkeys(spec, 3), 3), spec)

@@ -480,6 +480,23 @@ def test_sim_clawwalk_refuses_step_count_before_tuning(capsys, monkeypatch):
     assert "steps exceeds guard" in err
 
 
+def test_sim_clawwalk_refuses_tuning_scan_over_the_guard(capsys,
+                                                         monkeypatch):
+    # the untuned walk passes the guard at 1,042,290 steps, but tuning
+    # would scan 3 x 173,715 repetitions of 6 steps, 3,126,870 steps
+    def refuse(*args, **kwargs):
+        raise AssertionError("a walk was simulated before the refusal")
+
+    monkeypatch.setattr("clawbench.walk.CollapsedWalkSim", refuse)
+    params = walk_params(16, 16, 76000)
+    check_walk_steps(params)
+    code, out, err = run_cli(capsys, "sim-clawwalk", "--bits", "4",
+                             "--multiplier", "76000")
+    assert code == 4
+    assert out == ""
+    assert "3126870 steps exceeds guard" in err
+
+
 def test_walk_step_guard_boundary():
     # u = 29 runs 1,039,014 steps, u = 30 runs 1,648,640
     check_walk_steps(walk_params(1 << 29, 1 << 29))
