@@ -105,18 +105,28 @@ def check_exhaustive_bits(u):
             f"exhaustive scan refused for u={u} > {EXHAUSTIVE_MAX_BITS}")
 
 
+EXHAUSTIVE_BLOCK = 1 << 20
+
+
 def find_claws_exhaustive(problem):
     """All claws by full pairwise scan, ascending (x1, x2) order.
 
     The ground-truth oracle: every (x1, x2) pair is compared directly,
-    independent of the sorted-match search path.  The scan runs in the
-    tables' shifted order, so its pairs are mapped back through the
-    origins and sorted.
+    independent of the sorted-match search path.  The f rows are compared
+    against all of g in blocks of EXHAUSTIVE_BLOCK comparisons, so the
+    largest temporary is one 1 MiB boolean block, not the 2^u x 2^u
+    comparison matrix.  The scan runs in the tables' shifted order, so
+    its pairs are mapped back through the origins and sorted.
     """
     check_exhaustive_bits(problem.domain_bits)
+    n = problem.n_side
     f_tab = side_table(problem, 0)
     g_tab = side_table(problem, 1)
-    pairs = np.argwhere(f_tab[:, None] == g_tab[None, :])
+    rows = EXHAUSTIVE_BLOCK // n          # n <= 2^EXHAUSTIVE_MAX_BITS
+    hits = np.concatenate([
+        np.flatnonzero(f_tab[start:start + rows, None] == g_tab) + start * n
+        for start in range(0, n, rows)])
+    pairs = np.stack(np.divmod(hits, n), axis=1)
     pairs ^= problem.origins
     return sorted(map(tuple, pairs.tolist()))
 

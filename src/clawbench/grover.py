@@ -178,9 +178,17 @@ def _cdf_index(u, marked, n_items, p_hit):
     (normalised cumsum, then searchsorted to the right)."""
     probs = np.full(n_items, (1 - p_hit) / max(n_items - marked.size, 1))
     probs[marked] = p_hit / marked.size
-    cdf = np.cumsum(probs / probs.sum())
+    return int(choice_cdf(probs).searchsorted(u, side="right"))
+
+
+def choice_cdf(weights):
+    """The CDF rng.choice(weights.size, p=weights / weights.sum()) draws
+    from, built in place in the float64 array weights: choice's uniform u
+    picks index cdf.searchsorted(u, side="right")."""
+    weights /= weights.sum()
+    cdf = np.cumsum(weights, out=weights)
     cdf /= cdf[-1]
-    return int(cdf.searchsorted(u, side="right"))
+    return cdf
 
 
 def _closed_form_index(u, marked, n_items, p_hit):

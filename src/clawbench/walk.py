@@ -13,7 +13,10 @@ Two exact simulators are provided:
 * FullWalkSim enumerates every basis state (S, z) per side.  Ordered by
   S and then z, the two diffusions are reflections about the mean of
   consecutive groups and the two queries are index permutations, so a
-  step costs O(dim^2) on the dim x dim state.  Exponential, guarded.
+  step costs O(dim^2) on the dim x dim state.  The phase flip and the
+  diffusions work in place and each query is one gather into a new
+  state, so a run holds about two states at its peak.  Exponential,
+  guarded.
 * CollapsedWalkSim tracks only the three per-side symmetry classes of a
   unique planted claw index j: A (j in S), B (j not in S, z == j),
   C (j not in S, z != j).  The walk dynamics close on class-uniform
@@ -33,7 +36,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .claw import CapacityError, find_claws_exhaustive
-from .grover import QueryLedger
+from .grover import QueryLedger, choice_cdf
 
 FULL_BASIS_GUARD = 10_000_000
 WALK_STEP_GUARD = 1 << 20
@@ -156,12 +159,27 @@ def _side_operators(n_side, r):
 
 
 def _reflect(state, axis, k):
-    """Diffusion 2 mean - x over consecutive groups of k entries along axis:
-    the reflection about the uniform superposition of each group."""
+    """Diffusion 2 mean - x over consecutive groups of k entries along axis,
+    in place: the reflection about the uniform superposition of each group.
+
+    state must be C-contiguous, so the grouped reshape is a view.  The
+    group sums add the k columns one after another, which is the order
+    numpy's mean takes along axis 0 for every k and along the contiguous
+    axis 1 for k <= 7, so the result is bit-identical to 2 * mean -
+    groups there; from k = 8 on, numpy sums axis 1 pairwise and the last
+    bits differ.  With walk_params' subset size the full-basis guard
+    admits N <= 11, where k <= 7.  The one temporary is the group means,
+    1/k of the state.
+    """
     shape = state.shape
     groups = state.reshape(shape[:axis] + (-1, k) + shape[axis + 1:])
-    mean = groups.mean(axis=axis + 1, keepdims=True)
-    return (2 * mean - groups).reshape(shape)
+    lead = (slice(None),) * (axis + 1)
+    twice_mean = groups[lead + (0,)].copy()
+    for i in range(1, k):
+        twice_mean += groups[lead + (i,)]
+    twice_mean /= k
+    twice_mean *= 2
+    np.subtract(np.expand_dims(twice_mean, axis + 1), groups, out=groups)
 
 
 class FullWalkSim(_WalkSim):
@@ -171,6 +189,8 @@ class FullWalkSim(_WalkSim):
     g side).  Multiple claws are allowed; the phase flip marks any state
     whose subsets contain at least one claw pair.
     """
+
+    _cdf = None     # measurement CDF of the current state, once measured
 
     def __init__(self, n_side, params, claws):
         super().__init__(n_side, params)
@@ -189,7 +209,8 @@ class FullWalkSim(_WalkSim):
             self.mark |= np.outer(in1, in2)
 
     def phase_flip(self):
-        self.state = np.where(self.mark, -self.state, self.state)
+        np.negative(self.state, out=self.state, where=self.mark)
+        self._cdf = None
         self.norm_log.append(self.norm())
 
     def walk_step(self, side, fine=True):
@@ -198,20 +219,24 @@ class FullWalkSim(_WalkSim):
         The four sub-operators act on the state's axis side - 1: the
         diffusion over z outside S (groups of N - r entries share S), the
         insert query, the diffusion over z in S' (groups of r + 1) and
-        the remove query.  fine=True logs the norm after each
-        sub-operator, fine=False once per step; the state is the same.
+        the remove query.  The diffusions work in place; each query is
+        one gather into a new state, so at most two states are live.
+        fine=True logs the norm after each sub-operator, fine=False once
+        per step; the state is the same.
         """
         axis = side - 1
         r = self.params.r
-        for op in (lambda s: _reflect(s, axis, self.n_side - r),
-                   lambda s: s.take(self.insert, axis),
-                   lambda s: _reflect(s, axis, r + 1),
-                   lambda s: s.take(self.remove, axis)):
-            self.state = op(self.state)
+        for k, query in ((self.n_side - r, self.insert),
+                         (r + 1, self.remove)):
+            _reflect(self.state, axis, k)
+            if fine:
+                self.norm_log.append(self.norm())
+            self.state = self.state.take(query, axis)
             if fine:
                 self.norm_log.append(self.norm())
         if not fine:
             self.norm_log.append(self.norm())
+        self._cdf = None
         self.ledger.charge(2)
 
     def run(self, fine=True):
@@ -229,9 +254,15 @@ class FullWalkSim(_WalkSim):
 
     def measure(self, rng, claws):
         """Measure (S1, z1, S2, z2); returns the first of claws inside the
-        measured subsets S1, S2, or None."""
-        probs = (self.state ** 2).ravel()
-        pick = rng.choice(probs.size, p=probs / probs.sum())
+        measured subsets S1, S2, or None.
+
+        Each draw is one uniform searched in the state's CDF, the index
+        rng.choice would return; the CDF is built once per state, so
+        repeated measurements of one run share it.
+        """
+        if self._cdf is None:
+            self._cdf = choice_cdf(np.square(self.state).ravel())
+        pick = int(self._cdf.searchsorted(rng.random(), side="right"))
         d = len(self.basis)
         s1, s2 = self.basis[pick // d][0], self.basis[pick % d][0]
         return next(((a, b) for a, b in claws if a in s1 and b in s2), None)

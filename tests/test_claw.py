@@ -5,9 +5,9 @@ import pytest
 
 from clawbench.attack import build_claw_problem, make_pair_set
 from clawbench.cipher import FeistelSpec, random_subkeys
-from clawbench.claw import (CapacityError, ClawProblem, concat_multi,
-                            find_claws_exhaustive, find_claws_sorted,
-                            side_table)
+from clawbench.claw import (EXHAUSTIVE_BLOCK, CapacityError, ClawProblem,
+                            concat_multi, find_claws_exhaustive,
+                            find_claws_sorted, side_table)
 
 
 def table_problem(f_tabs, g_tabs, domain_bits, range_bits):
@@ -251,3 +251,55 @@ def test_sorted_census_peak_memory_w16():
         tracemalloc.stop()
     assert got == want
     assert peak <= 2.25 * 2 ** 20, peak
+
+
+def planted_block_problem(rng, u, origins):
+    """A u-bit problem in shifted coordinates with 7 claws, each in the
+    first or the last f row of a comparison block, the first and the
+    last block included: f values even, g values odd, and then some g
+    entries set to f values, one of them twice (a claw block K_{1,2})."""
+    n = 1 << u
+    rows = EXHAUSTIVE_BLOCK // n
+    f_tab = 2 * rng.permutation(n).astype(np.uint32)
+    g_tab = 2 * rng.permutation(n).astype(np.uint32) + 1
+    edge_rows = (0, rows - 1, rows, 3 * rows - 1, n - rows, n - 1, rows)
+    for y1, y2 in zip(edge_rows, rng.choice(n, len(edge_rows),
+                                            replace=False)):
+        g_tab[y2] = f_tab[y1]
+    return ClawProblem(domain_bits=u, range_bits=u + 1,
+                       f_family=(lambda y: f_tab[y],),
+                       g_family=(lambda y: g_tab[y],), origins=origins)
+
+
+def argwhere_census(problem):
+    """The census as one 2^u x 2^u comparison matrix."""
+    f_tab, g_tab = side_table(problem, 0), side_table(problem, 1)
+    pairs = np.argwhere(f_tab[:, None] == g_tab[None, :])
+    return sorted(map(tuple, (pairs ^ problem.origins).tolist()))
+
+
+def test_exhaustive_census_across_row_blocks():
+    """At u = 12 the scan compares 256 f rows per block; claws sit in the
+    first and last row of blocks, and the origins relabel them."""
+    rng = np.random.default_rng(12)
+    assert EXHAUSTIVE_BLOCK // (1 << 12) == 256
+    for origins in ((0, 0), (0x5a3, 0xfff), (1, 0x800)):
+        problem = planted_block_problem(rng, 12, origins)
+        want = argwhere_census(problem)
+        assert len(want) == 7
+        assert find_claws_exhaustive(problem) == want
+
+
+def test_exhaustive_census_peak_memory_u12():
+    """Bytes, not time: one comparison block of 2^20 booleans, against
+    16 MiB for the whole 2^12 x 2^12 matrix."""
+    problem = planted_block_problem(np.random.default_rng(4), 12, (3, 9))
+    want = argwhere_census(problem)
+    tracemalloc.start()
+    try:
+        got = find_claws_exhaustive(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak <= 4 * 2 ** 20, peak

@@ -1,13 +1,16 @@
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from clawbench import walk
 from clawbench.claw import (CapacityError, ClawProblem,
                             find_claws_exhaustive)
 from clawbench.cli import planted_claw_problem
+from clawbench.grover import choice_cdf
 from clawbench.walk import (CollapsedWalkSim, FullWalkSim, UniqueClawRequired,
                             WalkParams, _collapsed_step_matrix, _reflect,
                             _side_operators, claw_walk_sample, ledger_law,
@@ -30,14 +33,30 @@ def test_ledger_law():
     assert ledger_law(p) == 41 + 41 + 12 * (6 + 6) * 2
 
 
+def reflected(state, axis, k):
+    """_reflect works in place: apply it to a copy."""
+    out = state.copy()
+    _reflect(out, axis, k)
+    return out
+
+
+def reference_reflect(state, axis, k):
+    """The textbook diffusion 2 mean - x over groups of k, into a new
+    array."""
+    shape = state.shape
+    groups = state.reshape(shape[:axis] + (-1, k) + shape[axis + 1:])
+    mean = groups.mean(axis=axis + 1, keepdims=True)
+    return (2 * mean - groups).reshape(shape)
+
+
 def test_full_side_operators_are_orthogonal():
     n_side, r = 6, 2
     basis, insert, remove = _side_operators(n_side, r)
     eye = np.eye(len(basis))
     # each sub-operator applied to the identity along axis 0
-    d_out = _reflect(eye, 0, n_side - r)
+    d_out = reflected(eye, 0, n_side - r)
     ins = eye.take(insert, 0)
-    d_in = _reflect(eye, 0, r + 1)
+    d_in = reflected(eye, 0, r + 1)
     rem = eye.take(remove, 0)
     # the two diffusions are reflections, the two queries permutations
     assert np.allclose(d_out @ d_out, eye, atol=1e-12)
@@ -55,12 +74,67 @@ def test_full_sub_operators_match_their_definition():
     # each diffusion mixes the states that share their subset
     for states, k in ((basis, n_side - r), (grown, r + 1)):
         same = np.array([[a[0] == b[0] for b in states] for a in states])
-        assert np.allclose(_reflect(eye, 0, k), same * 2 / k - eye,
+        assert np.allclose(reflected(eye, 0, k), same * 2 / k - eye,
                            atol=1e-15)
     # insert gathers (S, z) into (S + {z}, z); remove gathers it back
     for i, (s, z) in enumerate(basis):
         j = grown.index((tuple(sorted(s + (z,))), z))
         assert insert[j] == i and remove[i] == j
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_in_place_reflection_is_bit_identical_to_the_mean(k):
+    """Every group size a reachable full-basis run uses: the in-place
+    sequential sum gives numpy's mean to the last bit on both axes."""
+    rng = np.random.default_rng(k)
+    for axis in (0, 1):
+        state = rng.standard_normal((6 * k, 9 * k))
+        want = reference_reflect(state, axis, k)
+        _reflect(state, axis, k)
+        assert state.tobytes() == want.tobytes(), axis
+
+
+def test_full_walk_peak_memory():
+    """Bytes, not time: the diffusions work in place and each query is one
+    gather, so a full run holds at most two states and the group means
+    (3.2 states when each sub-operator returned a new state)."""
+    tracemalloc.start()
+    try:
+        sim = FullWalkSim(9, walk_params(9, 9), [(1, 3)])
+        sim.run(fine=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * sim.state.nbytes, peak / sim.state.nbytes
+
+
+def test_full_measure_draws_what_rng_choice_draws(monkeypatch):
+    """Seed for seed, a measurement picks the basis state rng.choice picks
+    from the squared amplitudes, and claw_walk_sample's retries share one
+    CDF per simulated state."""
+    claws = [(1, 3), (4, 0)]
+    sim = FullWalkSim(8, walk_params(8, 8), claws)
+    sim.run()
+    probs = (sim.state ** 2).ravel()
+    d = len(sim.basis)
+    for seed in range(200):
+        pick = np.random.default_rng(seed).choice(probs.size,
+                                                  p=probs / probs.sum())
+        s1, s2 = sim.basis[pick // d][0], sim.basis[pick % d][0]
+        want = next(((a, b) for a, b in claws if a in s1 and b in s2),
+                    None)
+        assert sim.measure(np.random.default_rng(seed), claws) == want
+    built = []
+
+    def counting_cdf(weights):
+        built.append(weights.size)
+        return choice_cdf(weights)
+
+    monkeypatch.setattr(walk, "choice_cdf", counting_cdf)
+    problem, planted = planted_claw_problem(3, 0)
+    result = claw_walk_sample(problem, seed=0, mode="full")
+    assert result.claw == planted and result.retries == 4
+    assert len(built) == 1
 
 
 def test_collapsed_step_is_orthogonal():
