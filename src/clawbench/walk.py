@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .claw import CapacityError, find_claws_exhaustive
-from .grover import QueryLedger, choice_cdf
+from .grover import QueryLedger
 
 FULL_BASIS_GUARD = 10_000_000
 WALK_STEP_GUARD = 1 << 20
@@ -266,6 +266,16 @@ class FullWalkSim(_WalkSim):
         d = len(self.basis)
         s1, s2 = self.basis[pick // d][0], self.basis[pick % d][0]
         return next(((a, b) for a, b in claws if a in s1 and b in s2), None)
+
+
+def choice_cdf(weights):
+    """The CDF rng.choice(weights.size, p=weights / weights.sum()) draws
+    from, built in place in the float64 array weights: choice's uniform u
+    picks index cdf.searchsorted(u, side="right")."""
+    weights /= weights.sum()
+    cdf = np.cumsum(weights, out=weights)
+    cdf /= cdf[-1]
+    return cdf
 
 
 # ---------------------------------------------------------------------------

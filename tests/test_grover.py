@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clawbench import grover
 from clawbench.claw import CapacityError
 from clawbench.grover import (STATEVECTOR_LIMIT, STATEVECTOR_WORK_LIMIT,
                               GroverInstance, QueryLedger, check_statevector,
@@ -31,20 +30,16 @@ def two_pass_reference(inst, norm_log=None):
     return amp ** 2, ledger
 
 
-def closed_form_law(n, marked, iterations):
-    """The law as an N-entry vector, normalised for rng.choice."""
+def naive_draw(n, marked, iterations, seed):
+    """The law as stated, in O(N): hit with p_hit and take a uniform marked
+    item, else a uniform item of the unmarked set built by setdiff1d, from
+    the same uniforms grover_sample draws.  marked is ascending."""
+    rng = np.random.default_rng(seed)
     p_hit = grover_success_prob(n, len(marked), iterations)
-    probs = np.full(n, (1 - p_hit) / max(n - len(marked), 1))
-    probs[marked] = p_hit / len(marked)
-    return probs / probs.sum()
-
-
-def choice_cdf(p):
-    """The CDF rng.choice(n, p=p) searches: cumsum, divided by its last
-    entry; its draw is searchsorted(u, side="right")."""
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
-    return cdf
+    if len(marked) == n or rng.random() < p_hit:
+        return int(marked[rng.integers(len(marked))])
+    unmarked = np.setdiff1d(np.arange(n), marked, assume_unique=True)
+    return int(unmarked[rng.integers(unmarked.size)])
 
 
 def test_iteration_counts():
@@ -151,31 +146,41 @@ def test_sample_beyond_statevector_guard_uses_closed_form():
 
 
 def test_sample_draws_from_the_statevector_law():
-    # the closed-form draw equals the statevector draw seed for seed,
-    # including several marked items under the single-item iteration count
-    # (as the attack's search stages run it) and every item marked
+    # on each grid (several marked items under the single-item iteration
+    # count, as the attack's search stages run it, and every item marked)
+    # the draw equals the naive reference seed for seed, and its hit rate
+    # over 1,000 seeds is within 5 sigma of the statevector's marked mass
     grids = [(4, (2,), 1), (256, (7,), None), (256, (3, 40, 41, 200), 12),
              (64, tuple(range(0, 64, 3)), 6), (1 << 10, (137,), None),
              (16, tuple(range(16)), 3)]
+    seeds = 1000
     for n, marked, iterations in grids:
         inst = GroverInstance(n, marked, iterations)
         probs, _ = grover_run_statevector(inst)
-        for seed in range(200):
-            want = np.random.default_rng(seed).choice(n, p=probs / probs.sum())
+        p = float(probs[list(marked)].sum())
+        hits = 0
+        for seed in range(seeds):
             given = (None, list(marked), np.array(marked))[seed % 3]
             idx, ledger = grover_sample(
                 lambda x: x in inst.marked, n, seed, iterations,
                 marked=given)
-            assert idx == want
+            assert idx == naive_draw(n, marked, inst.iterations, seed)
             assert ledger.oracle_queries == inst.iterations
+            hits += idx in inst.marked
+        # the 1e-12 absorbs the rounding of p when it is 1
+        sigma = math.sqrt(p * (1 - p) / seeds)
+        assert abs(hits / seeds - p) <= 5 * sigma + 1e-12, (n, marked)
 
 
 @pytest.mark.parametrize("marked", [[-1], [8], [3, 3], np.array([5, 3, 5]),
-                                    np.array([[3, 5]]), [2.0], []])
+                                    np.array([[3, 5]]), [2.0], [], (1.5,)])
 def test_sample_rejects_bad_marked_indices(marked):
-    # N = 8: out of range, duplicated, not 1-D, not integer, or empty
+    # N = 8: out of range, duplicated, not 1-D, not integer, or empty; the
+    # sampler and GroverInstance share the check
     with pytest.raises(ValueError):
         grover_sample(lambda x: False, 8, seed=0, marked=marked)
+    with pytest.raises(ValueError):
+        GroverInstance(8, marked, 1)
 
 
 def test_sample_takes_marked_in_any_order():
@@ -187,9 +192,9 @@ def test_sample_takes_marked_in_any_order():
         assert len(draws) == 1
 
 
-def test_sample_equals_rng_choice_on_the_closed_form_law():
-    # seed for seed, the O(M) draw returns what rng.choice returns on the
-    # N-entry law: every M at small N, sampled M up to M = N above, and
+def test_sample_equals_setdiff1d_reference_on_the_closed_form_law():
+    # seed for seed, the O(log M) draw returns what the naive reference
+    # returns: every M at small N, sampled M up to M = N above, and
     # iterations 0..R1 + 2 (N = 4, M = 1, R = 1 has p_hit = 1)
     assert grover_success_prob(4, 1, 1) == 1.0
     rng = np.random.default_rng(2024)
@@ -208,38 +213,50 @@ def test_sample_equals_rng_choice_on_the_closed_form_law():
             if n == 1 << 16 and m > 1:
                 rs = (0, 1, r1 // 2, r1, r1 + 1, r1 + 2)
             for r in rs:
-                p = closed_form_law(n, marked, r)
                 for seed in rng.integers(1 << 31, size=seeds):
-                    want = np.random.default_rng(seed).choice(n, p=p)
                     idx, ledger = grover_sample(None, n, seed, r,
                                                 marked=marked)
-                    assert idx == want, (n, m, r, seed)
+                    assert idx == naive_draw(n, marked, r, seed), \
+                        (n, m, r, seed)
                     assert ledger.oracle_queries == r
                     draws += 1
     assert draws >= 20_000
 
 
-def test_draw_at_cdf_boundaries_matches_searchsorted(monkeypatch):
-    # u on each CDF entry and one ulp either side: the closed-form
-    # boundaries cannot decide these, so the draw falls back to the O(N)
-    # path, and it must agree with searchsorted on choice's CDF
-    fallbacks = []
-    cdf_index = grover._cdf_index
-    monkeypatch.setattr(grover, "_cdf_index",
-                        lambda *args: fallbacks.append(1) or cdf_index(*args))
+class ScriptedRng:
+    """Stands in for default_rng(seed): random() returns u, and
+    integers(high) returns k, which must lie in [0, high)."""
+
+    def __init__(self, u, k):
+        self.u, self.k = u, k
+
+    def random(self):
+        return self.u
+
+    def integers(self, high):
+        assert 0 <= self.k < high
+        return self.k
+
+
+def test_draw_at_hit_and_run_boundaries_matches_reference(monkeypatch):
+    # u one ulp below p_hit hits and u == p_hit misses (unless M == N);
+    # then every k picks the k-th marked or the k-th unmarked index, so
+    # each unmarked run, before, between and after the marked items, is
+    # read up to its edges
     rng = np.random.default_rng(7)
+    monkeypatch.setattr(np.random, "default_rng", lambda scripted: scripted)
     cases = [(2, 1, 0), (2, 2, 1), (3, 1, 1), (3, 2, 3), (4, 1, 1),
              (4, 4, 2), (8, 1, 2), (8, 3, 4), (8, 8, 0), (256, 1, 12),
              (256, 1, 0), (256, 4, 12), (256, 255, 14), (256, 256, 6),
              (1 << 12, 1, 50), (1 << 12, 17, 7)]
     for n, m, r in cases:
         marked = np.sort(rng.choice(n, size=m, replace=False))
+        unmarked = np.setdiff1d(np.arange(n), marked)
         p_hit = grover_success_prob(n, m, r)
-        cdf = choice_cdf(closed_form_law(n, marked, r))
-        for c in cdf:
-            for u in (np.nextafter(c, 0.0), c, np.nextafter(c, 1.0)):
-                if u < 1.0:
-                    want = int(cdf.searchsorted(u, side="right"))
-                    assert grover._closed_form_index(
-                        float(u), marked, n, p_hit) == want, (n, m, r, u)
-    assert fallbacks
+        below = float(np.nextafter(p_hit, 0.0))
+        for u in (below, p_hit):
+            hit = m == n or u < p_hit
+            for k in range(m if hit else n - m):
+                idx, _ = grover_sample(None, n, ScriptedRng(u, k), r,
+                                       marked=marked)
+                assert idx == (marked if hit else unmarked)[k], (n, m, r, u)

@@ -3,7 +3,9 @@
 API-built reports on random round functions, pinned per case.
 
 A change that alters any of these digests changed a report; if that is
-intended, record why in CHANGES.md and update the digest.
+intended, record why in CHANGES.md, with the field-level differences that
+`python tests/report_diff.py PARENT_CHECKOUT` prints, and update the
+digest.
 """
 
 import hashlib
@@ -20,9 +22,9 @@ DIGESTS = {
         "095d77573124a02dd694afdeea0c4e241543aa52dc798ec88813119daa413d9d",
     "--vectors paper --no-extra-pair":
         "a803724e20976ea16befb4803fb3d0482ed09bdce727d7c575fbc187b0d405fe",
-    # Grover misses pinned: k4 takes 4 draws (804 queries), resolve 5 (1,005)
+    # Grover misses pinned: k4 takes 2 draws (402 queries), resolve 5 (1,005)
     "--vectors paper --backend walk-sim":
-        "2e95fe5a56bc27165f14175c8f51365e8dd17e0a30d8f39181d7e34ef5615c72",
+        "3c769d245ea5eb9faf89bb3bab93c57b7464aac8c4806f3b1b5c368a24ac8945",
     "--width 8 --random-seed 0 --backend classical":
         "938cbb4b123d24baa3ab163f0640f59de9fa7119385adf1b3090f981396c9198",
     "--width 8 --random-seed 1 --backend classical":
@@ -64,33 +66,54 @@ DIGESTS = {
     "--width 8 --random-seed 9 --backend exhaustive":
         "fcfd875b480f287d9392adf64df24f3cf9df0be14aa4fc4da25bcc6157787005",
     "--width 8 --random-seed 0 --backend walk-sim":
-        "4819a19a5ba17a6b2ba478dd7c54cefa0001ef73460b3137bf289864c425e033",
+        "f8b93be35784a5e7f30d78fb582aebe076340025a049fecd2b5d218daad7fb3e",
     "--width 8 --random-seed 1 --backend walk-sim":
-        "d52d636696970df4a27b3cee52642e224e8da169148de156ab3e7b9479996b96",
+        "c82f38bbb8014f607afcc7deed44e1a37406785759a0afa20bc866279c2067f2",
     "--width 8 --random-seed 2 --backend walk-sim":
         "721feffe40f190ee8ea6f90c115fba121ffaf8cc2cf3556f8db2477693664e25",
     "--width 8 --random-seed 3 --backend walk-sim":
-        "a1c7cf0a61b62e1507edf93faec80076bcbc78423e14fac10ef6a5e92632947b",
+        "376c3107dcf97acdd895e178fe04345f5099837550a8bf6436f1dc4726c4e1ab",
     "--width 8 --random-seed 4 --backend walk-sim":
-        "e13e9bbad3b21b25d5512ede46de09175ead11cd085a657793a940c2350d5f23",
+        "eb7b83234e6f5ee6297577f666f97d90d1da725d7c32607e4efb472add4b1321",
     "--width 8 --random-seed 5 --backend walk-sim":
-        "f118575da7c2c65a0ade1badf4fbf185f5b1701b875e1b7e3ca3dff8f509c2a0",
+        "2d18c23f896f56256a629df9349a55be494ff719fb289386d3bc1b282f840637",
     "--width 8 --random-seed 6 --backend walk-sim":
-        "1921773cda3b2631a86847ec13e0c5a8b992cba0e305fc44f36bf1b954a3de17",
+        "471b41e9eaa403d25a847db2df87df5bd67b1d6f1fd296254e7925525e085be9",
     "--width 8 --random-seed 7 --backend walk-sim":
-        "86b57a01a3b27d670136a55f866182073af8708f1462ea82c02853d0bad7a2ec",
+        "60ce218b3e96383bc818b2f36b473e55a52a394eb0f1efb128efd427c2906758",
     "--width 8 --random-seed 8 --backend walk-sim":
-        "a531258088a52a9002b5b2c14e156e440ad1f5bab3ca9b3344bca45e350ff9ae",
+        "99f35084725d709205ad43a04c4b35a9fcea2b05c3eebc8da991f85f281df8c1",
     "--width 8 --random-seed 9 --backend walk-sim":
-        "f5d87e19b84db919cefc5043703eb998dc38775865d98d6338629153f9fe7174",
+        "bc961a2fa3f162c836b55ab038aab7869d4d5bdfe4f71a36aa04bb80192b9c25",
 }
+
+
+def cli_report(args, out):
+    """The bytes `clawbench attack run ARGS --out out` writes."""
+    assert main(["attack", "run", *args.split(), "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+def api_report(width, seed, backend, random_f):
+    """The JSON text of run_asr_attack(seed=0)'s report on
+    make_pair_set(spec, random_subkeys(spec, seed), seed), where spec is
+    the random round function of spec seed `seed` or else Simeck."""
+    spec = (FeistelSpec(word_width=width, round_function="random", seed=seed)
+            if random_f else FeistelSpec(word_width=width))
+    pair_set = make_pair_set(spec, random_subkeys(spec, seed), seed)
+    recovered, stats, stages = run_asr_attack(pair_set, spec,
+                                              backends=backend)
+    return json.dumps(attack_report(pair_set, spec, recovered, stats, stages,
+                                    backend), indent=2, sort_keys=True)
+
+
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
 
 
 @pytest.mark.parametrize("args", DIGESTS)
 def test_report_digest(tmp_path, args):
-    out = tmp_path / "report.json"
-    assert main(["attack", "run", *args.split(), "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS[args]
+    assert sha256(cli_report(args, tmp_path / "report.json")) == DIGESTS[args]
 
 
 # random round functions, run_asr_attack(seed=0) on
@@ -102,25 +125,25 @@ def test_report_digest(tmp_path, args):
 # seed 1, every resolve ambiguous between a K1 pair)
 API_DIGESTS = {
     (3, 0, "walk-full"):
-        "afe5660deb60354e25ddd691f7f258134c63443bd53ed2a4ccda266a007b01f7",
+        "ccc32ce2bc03d72eae6e0dcb5e51f4548c36232bebd8d7fe4b9420d2ce93be0f",
     (3, 1, "walk-full"):
-        "13f5097e6ad73b38baa7400a2249b782738b772368abafcb43ae1638e7ffb9ac",
+        "2378c993ffc906447697cd757e1d32cbf8b6a689546f486082555c5b0474970e",
     (3, 2, "walk-full"):
-        "a099c7d06b3972283b230bf92f378fe2efafc15fef59a484554e6109aa3ea4f8",
+        "a527efb2d1a5c11e255033e5beb6ba14e21185b0953d734ff2a1a1eee99591de",
     (3, 3, "walk-full"):
-        "bb16d6ed547dc57e9ec02c180aaa8060203727d4a6e475dc3cfc0f12d6b2681c",
+        "e2d097025405fc0b482bc4ac2d4430c679d270fbe3c48ab29dd7db8ae62de06b",
     (3, 4, "walk-full"):
-        "20a253288758c5604a9c8245ee8d62a192227e2edfa93eff414ef65efefaa343",
+        "919d7d8d624209ab094e483f962dfad594459f7c867e17315cbfaf86fa138c02",
     (12, 0, "walk-sim"):
-        "43bdc8032ad91a0a1b78a2c911ed2a5fe90b69dc692fe9779155e24a5fd3acb3",
+        "5a8272d5d6370b1d452bb040583455b40f29a13940b95464c80d6f4af0b7a99d",
     (12, 1, "walk-sim"):
         "682741b97c6b172f531ec3d27160b399928eeca375e59c9064a4800268163951",
     (12, 2, "walk-sim"):
-        "80809766e666c93dbb27b6b0f294703a16a5a7d4b3679fe7d9291e56cb0a7aaf",
+        "23a8a71dcd959c104f24e36a016fd08155364744cd629b3ac190ced8c6c1dbc3",
     (12, 3, "walk-sim"):
-        "0481e92e9229d3cc05e52f17341c81d906f2311a2d57b598b0df62cf31e463e6",
+        "3ca65624bd547fed9608d44063ebb33543b2e96e972918b2e990004eef5c30e8",
     (12, 4, "walk-sim"):
-        "803ca437dc26f29add8422ac779a4cbbb4d61a3ae9fca4f1aeded1caf53c13f4",
+        "35dfd258ba9f645033d84e725a81995062f3407160fcc9daedf3ebb07c8afd57",
     (16, 0, "classical"):
         "418ff96e00c49beb2cbfc64fbaf1652fb2fca5d307a8674b22f72dd852af72a1",
     (16, 1, "classical"):
@@ -134,37 +157,25 @@ API_DIGESTS = {
 
 @pytest.mark.parametrize("width,seed,backend", API_DIGESTS)
 def test_api_report_digest(width, seed, backend):
-    spec = FeistelSpec(word_width=width, round_function="random", seed=seed)
-    pair_set = make_pair_set(spec, random_subkeys(spec, seed), seed)
-    recovered, stats, stages = run_asr_attack(pair_set, spec,
-                                              backends=backend)
-    text = json.dumps(attack_report(pair_set, spec, recovered, stats, stages,
-                                    backend), indent=2, sort_keys=True)
-    assert (hashlib.sha256(text.encode()).hexdigest()
-            == API_DIGESTS[width, seed, backend])
+    text = api_report(width, seed, backend, random_f=True)
+    assert sha256(text.encode()) == API_DIGESTS[width, seed, backend]
 
 
 # Simeck w=12 with random_subkeys(spec, s), run_asr_attack(seed=0) on
-# walk-sim: the claw stage falls back and 3 of the Grover draws miss on
-# each (of 6 on seed 0, of 9 on seed 1), so the digests pin the draws
+# walk-sim: the claw stage falls back and every Grover draw hits (3 draws
+# on seed 0, 6 on seed 1), so the digests pin the draws
 SIMECK_API_DIGESTS = {
     (12, 0, "walk-sim"):
-        "5bc33ec027d30984579ad81c2bc2fac7ce6cb6819afc32db2a6d3213cb8c7dac",
+        "1ecbf10b12a1e36d569c57b19e57b618179ed2c78325e1cd59b68b827b57ae4f",
     (12, 1, "walk-sim"):
-        "5b9dc09e5133f847298c71c229b65ef9be91e36f8c7055f8e724cd1e0973699a",
+        "067c34175daad44450e28e7c50a30c5e8841638ea1362d663dcbd697b40a8898",
 }
 
 
 @pytest.mark.parametrize("width,seed,backend", SIMECK_API_DIGESTS)
 def test_simeck_api_report_digest(width, seed, backend):
-    spec = FeistelSpec(word_width=width)
-    pair_set = make_pair_set(spec, random_subkeys(spec, seed), seed)
-    recovered, stats, stages = run_asr_attack(pair_set, spec,
-                                              backends=backend)
-    text = json.dumps(attack_report(pair_set, spec, recovered, stats, stages,
-                                    backend), indent=2, sort_keys=True)
-    assert (hashlib.sha256(text.encode()).hexdigest()
-            == SIMECK_API_DIGESTS[width, seed, backend])
+    text = api_report(width, seed, backend, random_f=False)
+    assert sha256(text.encode()) == SIMECK_API_DIGESTS[width, seed, backend]
 
 
 def test_paper_vectors_walk_sim_fall_back_to_the_sorted_census(tmp_path):

@@ -10,11 +10,10 @@ from clawbench import walk
 from clawbench.claw import (CapacityError, ClawProblem,
                             find_claws_exhaustive)
 from clawbench.cli import planted_claw_problem
-from clawbench.grover import choice_cdf
 from clawbench.walk import (CollapsedWalkSim, FullWalkSim, UniqueClawRequired,
                             WalkParams, _collapsed_step_matrix, _reflect,
-                            _side_operators, claw_walk_sample, ledger_law,
-                            tune_outer_reps, walk_params)
+                            _side_operators, choice_cdf, claw_walk_sample,
+                            ledger_law, tune_outer_reps, walk_params)
 
 
 def test_walk_params_balanced():
