@@ -2,8 +2,9 @@
 
 Uses the collapsed subset-walk simulator for the claw stage (falling
 back to the classical sorted search when the instance's claw is not
-unique) and exact Grover statevector sampling for the later key stages,
-then cross-checks against the exhaustive classical pipeline.
+unique) and Grover sampling from the closed-form measurement law for the
+later key stages, then cross-checks against the exhaustive classical
+pipeline.
 """
 
 import argparse

@@ -88,8 +88,9 @@ def make_chosen_plaintext(l1, constant_c, spec):
     return l1, spec.round_f(1, l1) ^ constant_c
 
 
-def make_pair_set(spec, keys, seed, with_extra=True):
-    """Synthetic attack instance: rule pairs under a hidden key.
+def make_pair_set(spec, keys, seed):
+    """Synthetic attack instance: rule pairs and an extra pair under a
+    hidden key.
 
     The constant C and distinct L1 values are drawn uniformly from the
     seeded generator; the extra pair, drawn last, flips one R1 bit so it
@@ -103,11 +104,9 @@ def make_pair_set(spec, keys, seed, with_extra=True):
     for l1 in l1s:
         pt = make_chosen_plaintext(l1, constant_c, spec)
         pairs.append((pt, feistel_encrypt(pt, keys, spec)))
-    extra = None
-    if with_extra:
-        pt = make_chosen_plaintext(int(rng.integers(0, n)), constant_c ^ 1, spec)
-        extra = (pt, feistel_encrypt(pt, keys, spec))
-    return ChosenPairSet(constant_c, tuple(pairs), extra)
+    pt = make_chosen_plaintext(int(rng.integers(0, n)), constant_c ^ 1, spec)
+    return ChosenPairSet(constant_c, tuple(pairs),
+                         (pt, feistel_encrypt(pt, keys, spec)))
 
 
 def true_k2_prime(keys, constant_c, spec):
@@ -361,10 +360,10 @@ def schedule_consistent(k1, k2, k5, spec):
 
 def _extra_pair_filter(k456, c_star, pair_set, spec):
     """Element-wise over K4 (k456 = (K4, K5, K6), K4 an int or an array):
-    the O(1) extra-pair filter of resolve_k1_k2_k3, which needs neither
-    K1 nor K2'.  The extra pair's ciphertext peeled through rounds 6..4
-    is (L4, R4) = (l, e ^ K4) with the peel lemma's (l, e) at r = 3, and
-    the test is L4 ^ F3(R4) ^ c* == R1 ^ F1(L1)."""
+    the O(1) extra-pair filter ahead of resolve_k1_k2_k3, which needs
+    neither K1 nor K2'.  The extra pair's ciphertext peeled through
+    rounds 6..4 is (L4, R4) = (l, e ^ K4) with the peel lemma's (l, e) at
+    r = 3, and the test is L4 ^ F3(R4) ^ c* == R1 ^ F1(L1)."""
     (l1, r1), ct = pair_set.extra_pair
     l, e = _peel_terms(ct, k456[1:], spec)
     return l ^ spec.round_f(3, e ^ k456[0]) ^ c_star == r1 ^ spec.round_f(1, l1)
@@ -385,8 +384,9 @@ def resolve_k1_k2_k3(c_star, k2_prime, pair_set, spec, k456, backend,
         L4 = a ^ c* ^ F3(L3)     R4 = L3 = L1 ^ F2(a ^ K1) ^ F2(C ^ K1) ^ K2'
 
     so K1 cancels from the O(1) filter L4 ^ F3(R4) ^ c* == a
-    (_extra_pair_filter, which run_asr_attack applies to each K4 survivor
-    set before calling this), and a tuple that passes it leaves the sweep
+    (_extra_pair_filter).  Precondition: k456 passes that filter, as
+    run_asr_attack ensures by applying it to each K4 survivor set before
+    calling this; a tuple that passes it leaves the sweep
     F2(a ^ K1) ^ F2(C ^ K1) == R4 ^ L1 ^ K2'.  Rounds 4-6 are a
     bijection under the known keys, so filter and sweep together accept
     exactly the K1 that encrypt the extra pair over all six rounds.  The
@@ -403,9 +403,6 @@ def resolve_k1_k2_k3(c_star, k2_prime, pair_set, spec, k456, backend,
     c = pair_set.constant_c
     k1, uniqueness, figure = 0, "equivalence-family", 0
     if pair_set.extra_pair is not None:
-        if not _extra_pair_filter(k456, c_star, pair_set, spec):
-            raise AttackError("no K1 satisfies the extra pair; "
-                              "upstream keys wrong")
         (l1, r1), ct = pair_set.extra_pair
         a = int(r1 ^ spec.round_f(1, l1))
         r4 = _peel_terms(ct, k456[1:], spec)[1] ^ k456[0]

@@ -212,15 +212,12 @@ def cmd_scaling(args):
         runs.append((n, params))
     rows = ["N,r,t1,t2,outer_reps,queries,success_prob,mode"]
     for n, params in runs:
-        try:
-            sim = CollapsedWalkSim(n, params)
-            prob = sim.run()
-            queries = sim.ledger.oracle_queries
-            assert queries == ledger_law(params)
-            rows.append(f"{n},{params.r},{params.t1},{params.t2},"
-                        f"{params.outer_reps},{queries},{prob:.6g},collapsed")
-        except (CapacityError, ValueError) as exc:
-            rows.append(f"{n},,,,,,,skipped: {exc}")
+        sim = CollapsedWalkSim(n, params)
+        prob = sim.run()
+        queries = sim.ledger.oracle_queries
+        assert queries == ledger_law(params)
+        rows.append(f"{n},{params.r},{params.t1},{params.t2},"
+                    f"{params.outer_reps},{queries},{prob:.6g},collapsed")
         rows.append(f"{n},,,,,{2 * n},1,classical-sorted")
     _write(args, "\n".join(rows))
     return EXIT_OK

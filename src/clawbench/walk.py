@@ -65,13 +65,14 @@ def walk_params(m, n, multiplier=1.0):
     walk runs only in Tani's balanced regime, one subset size per side:
     r = ceil((mn)^(1/3)) and t1 = t2 = ceil((pi/4) sqrt(r)); the outer
     count is ceil of multiplier * sqrt(mn / r^2).  Raises ValueError for
-    m != n or a multiplier that is not positive and finite, CapacityError
-    when a value overflows a float.
+    m != n, for m < 4 (r < N holds exactly from N = 4) or a multiplier
+    that is not positive and finite, CapacityError when a value overflows
+    a float.
     """
     if m != n:
         raise ValueError(f"side domains must have equal size, got {m}, {n}")
-    if m < 2:
-        raise ValueError("side domains must have at least 2 elements")
+    if m < 4:
+        raise ValueError("side domains must have at least 4 elements")
     if not 0 < multiplier < math.inf:
         raise ValueError("multiplier must be positive and finite, "
                          f"got {multiplier}")

@@ -144,7 +144,7 @@ def test_criterion_6_k3_degeneracy(capsys):
     degenerate = True
     for seed in range(5):
         keys = random_subkeys(spec, seed)
-        pair_set = make_pair_set(spec, keys, seed, with_extra=False)
+        pair_set = make_pair_set(spec, keys, seed)
         k4, k5, k6 = keys[3:]
         verdicts = {k3_check_paper(k3, k4, k5, k6, pair_set, 2, spec)
                     for k3 in range(256)}

@@ -70,7 +70,8 @@ def test_diff_g_degenerate_pair_is_zero():
 @pytest.mark.parametrize("pair_idx", [0, 1, 4])
 def test_difference_checks_take_pairs_2_and_3_only(pair_idx):
     spec = vectors.SPEC
-    for check in (lambda: diff_g(0, paper_pair_set(), pair_idx, spec),
+    for check in (lambda: diff_f(0, paper_pair_set(), pair_idx, spec),
+                  lambda: diff_g(0, paper_pair_set(), pair_idx, spec),
                   lambda: k3_check_paper(0, *vectors.SUBKEYS[3:],
                                          paper_pair_set(), pair_idx, spec)):
         with pytest.raises(ValueError, match="pair_idx"):
@@ -158,7 +159,7 @@ def test_peel_lemma_equals_the_array_peel(width):
 def test_k3_check_is_degenerate_on_rule_pairs():
     spec = FeistelSpec(word_width=8)
     keys = random_subkeys(spec, 11)
-    pair_set = make_pair_set(spec, keys, 11, with_extra=False)
+    pair_set = make_pair_set(spec, keys, 11)
     k4, k5, k6 = keys[3:]
     verdicts = {k3_check_paper(k3, k4, k5, k6, pair_set, 2, spec)
                 for k3 in range(256)}
@@ -339,9 +340,8 @@ def filtered_tuples(monkeypatch, pair_set, spec):
     def recording_filter(k456, c_star, pair_set, spec):
         passed = pair_filter(k456, c_star, pair_set, spec)
         k4s, k5, k6 = k456
-        if np.ndim(k4s):        # the attack's call, not resolve's own
-            tuples.extend((c_star, current["k2_prime"], (k4, k5, k6), ok)
-                          for k4, ok in zip(k4s.tolist(), passed.tolist()))
+        tuples.extend((c_star, current["k2_prime"], (k4, k5, k6), ok)
+                      for k4, ok in zip(k4s.tolist(), passed.tolist()))
         return passed
 
     def recording_resolve(c_star, k2_prime, pair_set, spec, k456, *rest):
@@ -833,8 +833,35 @@ def test_corrupted_ciphertext_rejected():
     (pt, (l, r)) = pairs[1]
     pairs[1] = (pt, (l ^ 0x8000, r))
     bad = ChosenPairSet(vectors.CONSTANT_C, tuple(pairs), vectors.EXTRA_PAIR)
-    with pytest.raises(AttackError):
+    # this corruption leaves 256 claws, none of which verifies
+    with pytest.raises(AttackError, match="no key candidate verified"):
         run_asr_attack(bad, spec)
+
+
+@pytest.mark.parametrize("width, seed, backend", [
+    (8, 3, "classical"), (8, 3, "exhaustive"), (8, 3, "walk-sim"),
+    (3, 0, "walk-full")])
+def test_claw_free_census_rejected(width, seed, backend):
+    """Flipping one bit of pair 2's ciphertext leaves these random-F
+    instances (spec, key and pair seed all equal) without a claw; every
+    backend rejects them at the claw stage, the walks through
+    claw_walk_sample's empty-census return."""
+    spec = FeistelSpec(word_width=width, round_function="random", seed=seed)
+    pair_set = make_pair_set(spec, random_subkeys(spec, seed), seed)
+    pairs = list(pair_set.pairs)
+    (pt, (l, r)) = pairs[1]
+    pairs[1] = (pt, (l ^ 1, r))
+    bad = ChosenPairSet(pair_set.constant_c, tuple(pairs), pair_set.extra_pair)
+    problem = build_claw_problem(bad, spec)
+    assert find_claws_sorted(problem)[0] == []
+    with pytest.raises(AttackError, match="no claw found"):
+        run_asr_attack(bad, spec, backends=backend)
+    if backend.startswith("walk-"):
+        # the walk neither tunes nor measures without a claw
+        mode = attack.BACKEND_PRESETS[backend]["claw"].removeprefix("walk-")
+        result = walk.claw_walk_sample(problem, 0, mode, claws=[])
+        assert result.claw is None
+        assert result.retries == result.ledger.oracle_queries == 0
 
 
 def test_unknown_backend_name_rejected():

@@ -80,8 +80,10 @@ def test_round_f_index_dtypes(function):
 
 
 def test_simeck_needs_width_4():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="width >= 4"):
         FeistelSpec(word_width=3)
+    with pytest.raises(ValueError, match="outside supported range"):
+        FeistelSpec(word_width=2)
 
 
 def test_round_trip_many_widths_and_rounds():
@@ -108,8 +110,12 @@ def test_random_round_functions_round_trip():
 
 
 def test_random_round_functions_need_seed():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need a seed"):
         FeistelSpec(word_width=8, round_function="random")
+    with pytest.raises(ValueError, match="rounds must be"):
+        FeistelSpec(word_width=8, rounds=0)
+    with pytest.raises(ValueError, match="unknown round function"):
+        FeistelSpec(word_width=8, round_function="des")
 
 
 def test_partial_decrypt_round_range():
@@ -125,6 +131,10 @@ def test_partial_decrypt_round_range():
     assert partial_decrypt(mid, keys, spec, 2, 1) == pt
     with pytest.raises(ValueError):
         partial_decrypt(ct, keys, spec, 7, 1)
+    with pytest.raises(ValueError, match="missing subkey for round 6"):
+        partial_decrypt(ct, keys[:3], spec, 6, 1)
+    with pytest.raises(ValueError, match="need 6 subkeys, got 5"):
+        feistel_encrypt(pt, keys[:5], spec)
     # numpy key arrays decrypt element-wise, as the attack's key sweeps do
     k4s = np.arange(0, 1 << 16, 251, dtype=np.uint32)
     k6s = k4s[::-1] ^ np.uint32(0x5A5A)
@@ -172,3 +182,5 @@ def test_toy_width_schedule_runs():
     keys = simeck_key_schedule((1, 2, 3, 4), 6, spec)
     assert len(keys) == 6
     assert all(0 <= k <= 0xFF for k in keys)
+    with pytest.raises(ValueError, match="4 words"):
+        simeck_key_schedule((1, 2, 3), 6, spec)

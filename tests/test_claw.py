@@ -118,9 +118,11 @@ def test_capacity_guards():
 
 
 def test_family_length_mismatch_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="equal length"):
         ClawProblem(domain_bits=2, range_bits=3,
                     f_family=(lambda x: x,), g_family=())
+    with pytest.raises(ValueError, match="at least one equation"):
+        ClawProblem(domain_bits=2, range_bits=3, f_family=(), g_family=())
 
 
 def concatenate_side_table(problem, side):

@@ -40,6 +40,10 @@ def test_cipher_input_errors(capsys):
     code, _, _ = run_cli(capsys, "cipher", "enc", "--block", "0000|0000",
                          "--master", "B0AE")
     assert code == 3
+    code, _, err = run_cli(capsys, "cipher", "enc", "--width", "8",
+                           "--block", "00|00", "--subkeys", "1,2")
+    assert code == 3
+    assert "need 6 subkeys" in err
 
 
 def test_usage_errors_exit_as_input_errors(capsys):
@@ -431,6 +435,20 @@ def test_walk_commands_reject_a_multiplier_that_is_not_positive(
         assert code == 3
         assert out == ""
         assert "multiplier must be positive" in err
+
+
+def test_walk_commands_refuse_sides_below_4(capsys):
+    # r = ceil(N^(2/3)) is below N exactly from N = 4
+    for argv in (("scaling", "--min-exp", "1", "--max-exp", "3"),
+                 ("scaling", "--min-exp", "0", "--max-exp", "1"),
+                 ("sim-clawwalk", "--bits", "1")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3, argv
+        assert out == ""
+        assert err.endswith("side domains must have at least 4 elements\n")
+    for argv in (("scaling", "--min-exp", "2", "--max-exp", "3"),
+                 ("sim-clawwalk", "--bits", "2")):
+        assert run_cli(capsys, *argv)[0] == 0, argv
 
 
 def test_scaling_refuses_step_count_before_any_run(capsys, monkeypatch):

@@ -46,8 +46,17 @@ def test_iteration_counts():
     assert grover_iterations(4, 1) == 1
     assert grover_iterations(1 << 16, 1) == 201
     assert grover_iterations(256, 1) == int(math.pi / 4 * 16)  # 12
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no marked element"):
         grover_iterations(4, 0)
+    with pytest.raises(ValueError, match="more marked elements"):
+        grover_iterations(4, 5)
+
+
+def test_ledger_refuses_negative_charge():
+    ledger = QueryLedger()
+    with pytest.raises(ValueError, match="monotone"):
+        ledger.charge(-1)
+    assert ledger.oracle_queries == 0
 
 
 def test_closed_form_edge_cases():

@@ -27,6 +27,19 @@ def test_walk_params_lopsided():
         walk_params(4, 64)
 
 
+def test_walk_params_refuse_sides_below_4():
+    # r = ceil(N^(2/3)) reaches N at N = 2 and 3
+    for n in (2, 3):
+        with pytest.raises(ValueError, match="at least 4 elements"):
+            walk_params(n, n)
+    assert walk_params(4, 4).r == 3
+
+
+def test_simulators_refuse_a_subset_as_large_as_the_side():
+    with pytest.raises(ValueError, match="1 <= r < N"):
+        CollapsedWalkSim(8, WalkParams(8, 1, 1, 1))
+
+
 def test_ledger_law():
     p = WalkParams(r=41, t1=6, t2=6, outer_reps=12)
     assert ledger_law(p) == 41 + 41 + 12 * (6 + 6) * 2
