@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .claw import check_capacity
 from .words import check_width, check_word, mask, rotl, word_to_hex
 
 SIMECK_ROT_A = 5
@@ -32,6 +33,8 @@ SIMECK_ROT_B = 1
 # end-to-end attack demo reproduces those vectors.
 Z_VARIANTS = ("example", "standard")
 _EXAMPLE_Z_OFFSET = 5
+# the attack needs 6 rounds, Simeck's largest variant 44
+MAX_ROUNDS = 4096
 
 
 def z_sequence(rounds, variant="example"):
@@ -58,6 +61,7 @@ class FeistelSpec:
         check_width(self.word_width)
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
+        check_capacity("rounds", self.rounds, MAX_ROUNDS)
         if self.round_function == "simeck":
             if self.word_width < 4:
                 # rotations 5 mod 3 == 2 == 2 * 1: too degenerate to keep

@@ -14,6 +14,7 @@ censuses, and concat_multi, undo the origins, so claws and F are always
 in the problem's own x coordinates.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,14 @@ from .words import domain
 
 class CapacityError(RuntimeError):
     """A table or state vector would exceed the configured desk-scale guard."""
+
+
+def check_capacity(what, amount, limit):
+    """Refuse a request of amount above limit, before anything is built;
+    an amount beyond 64 bits is printed as 2^x.x to keep the line short."""
+    if amount > limit:
+        shown = amount if amount < 1 << 64 else f"2^{math.log2(amount):.1f}"
+        raise CapacityError(f"{what}: {shown} exceeds guard {limit}")
 
 
 @dataclass
@@ -81,8 +90,8 @@ def side_table(problem, side, out=None):
     domain, and its outputs are shifted in place and OR-ed in as uint64,
     whatever integer dtype it returns.
     """
-    if problem.range_bits * problem.eq_count > 63:
-        raise CapacityError("combined range exceeds 64 bits")
+    check_capacity("combined range bits",
+                   problem.range_bits * problem.eq_count, 63)
     first, *rest = problem.f_family if side == 0 else problem.g_family
     xs = domain(problem.domain_bits)
     if out is None:
@@ -100,9 +109,7 @@ EXHAUSTIVE_MAX_BITS = 12
 
 def check_exhaustive_bits(u):
     """Refuse an exhaustive census over 2^u x 2^u pairs beyond the guard."""
-    if u > EXHAUSTIVE_MAX_BITS:
-        raise CapacityError(
-            f"exhaustive scan refused for u={u} > {EXHAUSTIVE_MAX_BITS}")
+    check_capacity("exhaustive census side bits", u, EXHAUSTIVE_MAX_BITS)
 
 
 EXHAUSTIVE_BLOCK = 1 << 20
@@ -158,9 +165,8 @@ def find_claws_sorted(problem):
     page-faulted the same memory in again.
     """
     u = problem.domain_bits
-    key_bits = problem.range_bits * problem.eq_count + u + 1
-    if key_bits > 64:
-        raise CapacityError(f"sort key of {key_bits} bits exceeds 64")
+    check_capacity("sort key bits",
+                   problem.range_bits * problem.eq_count + u + 1, 64)
     n = problem.n_side
     keys = _value_table(problem)
     keys <<= u + 1

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .claw import CapacityError
+from .claw import check_capacity
 
 STATEVECTOR_LIMIT = 1 << 20
 # amplitude updates one statevector run may make, counting an iteration
@@ -90,13 +90,9 @@ class QueryLedger:
 def check_statevector(n_items, iterations):
     """Refuse a statevector run beyond STATEVECTOR_LIMIT amplitudes or
     STATEVECTOR_WORK_LIMIT amplitude updates, before anything runs."""
-    if n_items > STATEVECTOR_LIMIT:
-        raise CapacityError(
-            f"statevector refused for N={n_items} > {STATEVECTOR_LIMIT}")
-    if iterations * max(n_items, 1 << 12) > STATEVECTOR_WORK_LIMIT:
-        raise CapacityError(
-            f"statevector refused for {iterations} iterations at "
-            f"N={n_items}: over {STATEVECTOR_WORK_LIMIT} amplitude updates")
+    check_capacity("statevector amplitudes", n_items, STATEVECTOR_LIMIT)
+    check_capacity("statevector amplitude updates",
+                   iterations * max(n_items, 1 << 12), STATEVECTOR_WORK_LIMIT)
 
 
 def grover_run_statevector(inst, norm_log=None):

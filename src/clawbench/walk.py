@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .claw import CapacityError, find_claws_exhaustive
+from .claw import CapacityError, check_capacity, find_claws_exhaustive
 from .grover import QueryLedger
 
 FULL_BASIS_GUARD = 10_000_000
@@ -96,10 +96,8 @@ def check_walk_steps(params):
     """Refuse a run of more walk steps than the guard, outer_reps * (t1 +
     t2) of them: the steps set the query count, while a collapsed run
     logs only one norm per outer repetition."""
-    steps = params.outer_reps * (params.t1 + params.t2)
-    if steps > WALK_STEP_GUARD:
-        raise CapacityError(f"walk of {steps} steps exceeds guard "
-                            f"2^{WALK_STEP_GUARD.bit_length() - 1} steps")
+    check_capacity("walk steps", params.outer_reps * (params.t1 + params.t2),
+                   WALK_STEP_GUARD)
 
 
 class _WalkSim:
@@ -132,12 +130,9 @@ class _WalkSim:
 
 def check_full_basis(n_side, r):
     """Refuse a full-basis state of dim x dim amplitudes beyond the guard,
-    dim = C(N, r) (N - r); the size is stated as a power of two."""
+    dim = C(N, r) (N - r)."""
     dim = math.comb(n_side, r) * (n_side - r)
-    if dim * dim > FULL_BASIS_GUARD:
-        raise CapacityError(
-            f"full walk state of 2^{2 * math.log2(dim):.1f} amplitudes "
-            f"exceeds guard 2^{math.log2(FULL_BASIS_GUARD):.1f}")
+    check_capacity("full walk amplitudes", dim * dim, FULL_BASIS_GUARD)
 
 
 def _side_operators(n_side, r):
@@ -388,15 +383,18 @@ def claw_walk_sample(problem, seed, mode="collapsed", params=None,
     queries of every attempt.  The sampled claw is classically verified
     against the claw census: claws, the complete claw set in ascending
     (x1, x2) order, when the caller has one (the attack hands over its
-    sort-and-match result), else the exhaustive scan's.  Every refusal
-    comes before tuning: collapsed mode needs a unique claw, full mode a
-    basis within the guard, and either mode a walk within the step guard.
+    sort-and-match result), else the exhaustive scan's.  The step and
+    full-basis guards refuse before the census, and collapsed mode's
+    unique-claw check, which needs the census, before tuning.
     """
     if mode not in ("collapsed", "full"):
         raise ValueError(f"unknown mode {mode!r}")
     rng = np.random.default_rng(seed)
     n = problem.n_side
     params = params or walk_params(n, n)
+    check_walk_steps(params)
+    if mode == "full":
+        check_full_basis(n, params.r)
     all_claws = find_claws_exhaustive(problem) if claws is None else claws
     if not all_claws:
         return WalkResult(0.0, None, QueryLedger(), params, 0.0,
@@ -404,9 +402,6 @@ def claw_walk_sample(problem, seed, mode="collapsed", params=None,
     if mode == "collapsed" and len(all_claws) != 1:
         raise UniqueClawRequired(
             f"collapsed mode needs a unique claw, found {len(all_claws)}")
-    check_walk_steps(params)
-    if mode == "full":
-        check_full_basis(n, params.r)
     if tune:
         params = tune_outer_reps(n, params)
     sim = (CollapsedWalkSim(n, params) if mode == "collapsed"

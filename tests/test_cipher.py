@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from clawbench.cipher import (FeistelSpec, feistel_decrypt, feistel_encrypt,
-                              partial_decrypt, random_subkeys, simeck_f,
-                              simeck_key_schedule, z_sequence)
+from clawbench.cipher import (MAX_ROUNDS, FeistelSpec, feistel_decrypt,
+                              feistel_encrypt, partial_decrypt, random_subkeys,
+                              simeck_f, simeck_key_schedule, z_sequence)
+from clawbench.claw import CapacityError
 from clawbench.words import mask, rotl
 
 
@@ -107,6 +108,15 @@ def test_random_round_functions_round_trip():
         pt = (int(rng.integers(0, 256)), int(rng.integers(0, 256)))
         assert feistel_decrypt(feistel_encrypt(pt, keys, spec),
                                keys, spec) == pt
+
+
+def test_round_count_guard():
+    assert FeistelSpec(word_width=8, rounds=MAX_ROUNDS).rounds == 4096
+    # refused before any per-round table is drawn
+    with pytest.raises(CapacityError) as exc:
+        FeistelSpec(word_width=16, rounds=10 ** 9, round_function="random",
+                    seed=0)
+    assert str(exc.value) == "rounds: 1000000000 exceeds guard 4096"
 
 
 def test_random_round_functions_need_seed():

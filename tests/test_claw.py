@@ -6,8 +6,9 @@ import pytest
 from clawbench.attack import build_claw_problem, make_pair_set
 from clawbench.cipher import FeistelSpec, random_subkeys
 from clawbench.claw import (EXHAUSTIVE_BLOCK, CapacityError, ClawProblem,
-                            concat_multi, find_claws_exhaustive,
-                            find_claws_sorted, side_table)
+                            check_capacity, concat_multi,
+                            find_claws_exhaustive, find_claws_sorted,
+                            side_table)
 
 
 def table_problem(f_tabs, g_tabs, domain_bits, range_bits):
@@ -115,6 +116,20 @@ def test_capacity_guards():
                        g_family=(lambda x: x,) * 5)
     with pytest.raises(CapacityError):
         side_table(wide, 0)
+
+
+def test_check_capacity_states_amount_and_limit():
+    check_capacity("walk steps", 10, 10)
+    with pytest.raises(CapacityError) as exc:
+        check_capacity("walk steps", 11, 10)
+    assert str(exc.value) == "walk steps: 11 exceeds guard 10"
+    # exact while the amount fits in 64 bits, a power of two beyond
+    for amount, shown in (((1 << 64) - 1, str((1 << 64) - 1)),
+                          (1 << 64, "2^64.0"),
+                          (5 << 2774, "2^2776.3")):
+        with pytest.raises(CapacityError) as exc:
+            check_capacity("x", amount, 1)
+        assert str(exc.value) == f"x: {shown} exceeds guard 1"
 
 
 def test_family_length_mismatch_rejected():

@@ -35,8 +35,6 @@ def test_cipher_input_errors(capsys):
     code, _, err = run_cli(capsys, "cipher", "enc", "--block", "nothex|00",
                            "--master", "B0AEC7E9C3CEE6C3")
     assert code == 3
-    code, _, err = run_cli(capsys, "cipher", "enc", "--block", "0000|0000")
-    assert code == 3
     code, _, _ = run_cli(capsys, "cipher", "enc", "--block", "0000|0000",
                          "--master", "B0AE")
     assert code == 3
@@ -44,6 +42,27 @@ def test_cipher_input_errors(capsys):
                            "--block", "00|00", "--subkeys", "1,2")
     assert code == 3
     assert "need 6 subkeys" in err
+
+
+def test_cipher_takes_exactly_one_key_source(capsys):
+    for keys in (("--master", "B0AEC7E9C3CEE6C3", "--subkeys",
+                  "B0AE,C7E9,C3CE,E6C3,05A9,FE40"), ()):
+        with pytest.raises(SystemExit) as exc:
+            main(["cipher", "enc", "--block", "CDF5|E8B4", *keys])
+        assert exc.value.code == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "--master" in out.err.splitlines()[-1]
+
+
+def test_unopenable_out_path_is_an_input_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    code, stdout, err = run_cli(capsys, "attack", "run", "--vectors",
+                                "paper", "--out", str(out))
+    assert code == 3
+    assert stdout == ""
+    assert err == ("input error: [Errno 2] No such file or directory: "
+                   f"'{out}'\n")
 
 
 def test_usage_errors_exit_as_input_errors(capsys):
@@ -341,7 +360,8 @@ def test_sim_clawwalk_refuses_bits_before_building_tables(capsys,
     monkeypatch.setattr("clawbench.cli.planted_claw_problem", refuse)
     code, _, err = run_cli(capsys, "sim-clawwalk", "--bits", "13")
     assert code == 4
-    assert "u=13 > 12" in err
+    assert err == ("capacity guard: exhaustive census side bits: 13 "
+                   "exceeds guard 12\n")
 
 
 def test_attack_walk_full_refuses_basis_before_tuning(capsys, monkeypatch):
@@ -460,7 +480,8 @@ def test_scaling_refuses_step_count_before_any_run(capsys, monkeypatch):
                              "--max-exp", "40")
     assert code == 4
     assert out == ""
-    assert "steps exceeds guard" in err
+    # u = 30 is the first size over the guard
+    assert err == "capacity guard: walk steps: 1648640 exceeds guard 1048576\n"
 
 
 def test_scaling_refuses_float_overflow_before_any_run(capsys, monkeypatch):
@@ -495,7 +516,8 @@ def test_sim_clawwalk_refuses_step_count_before_tuning(capsys, monkeypatch):
                              "--multiplier", "1e7")
     assert code == 4
     assert out == ""
-    assert "steps exceeds guard" in err
+    assert err == ("capacity guard: walk steps: 137142858 exceeds guard "
+                   "1048576\n")
 
 
 def test_sim_clawwalk_refuses_tuning_scan_over_the_guard(capsys,
@@ -512,7 +534,61 @@ def test_sim_clawwalk_refuses_tuning_scan_over_the_guard(capsys,
                              "--multiplier", "76000")
     assert code == 4
     assert out == ""
-    assert "3126870 steps exceeds guard" in err
+    assert err == "capacity guard: walk steps: 3126870 exceeds guard 1048576\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("--mode", "full"),
+    ("--multiplier", "1e7"),
+], ids=["full-basis", "steps"])
+def test_sim_clawwalk_refuses_before_the_claw_census(capsys, monkeypatch,
+                                                      argv):
+    def no_census(problem):
+        raise AssertionError("claw census built before the refusal")
+
+    monkeypatch.setattr("clawbench.walk.find_claws_exhaustive", no_census)
+    code, out, err = run_cli(capsys, "sim-clawwalk", "--bits", "12", *argv)
+    assert code == 4
+    assert out == ""
+    assert err.count("\n") == 1
+
+
+MASTER = ("--master", "B0AEC7E9C3CEE6C3")
+OVER_BUDGET = {
+    "cipher": ("cipher", "enc", "--block", "CDF5|E8B4", *MASTER,
+               "--rounds", "1000000"),
+    "keyschedule": ("keyschedule", *MASTER, "--rounds", "1000000"),
+    "attack": ("attack", "run", "--vectors", "paper", "--backend",
+               "walk-full"),
+    "sim-grover": ("sim-grover", "--items", str(1 << 21), "--marked", "0"),
+    "sim-clawwalk": ("sim-clawwalk", "--bits", "13"),
+    "scaling": ("scaling", "--max-exp", "30"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(OVER_BUDGET))
+def test_every_command_refuses_an_over_budget_request(tmp_path, capsys,
+                                                      command):
+    argv = OVER_BUDGET[command]
+    out_file = tmp_path / "out.json"
+    if command != "cipher":         # cipher prints its one block
+        argv += ("--out", str(out_file))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("capacity guard: ") and err.count("\n") == 1
+    assert not out_file.exists()
+
+
+def test_round_guard_boundary(capsys):
+    for argv in (("cipher", "enc", "--block", "CDF5|E8B4", *MASTER),
+                 ("keyschedule", *MASTER)):
+        code, out, _ = run_cli(capsys, *argv, "--rounds", "4096")
+        assert code == 0 and out
+        code, out, err = run_cli(capsys, *argv, "--rounds", "4097")
+        assert code == 4
+        assert out == ""
+        assert err == "capacity guard: rounds: 4097 exceeds guard 4096\n"
 
 
 def test_walk_step_guard_boundary():
