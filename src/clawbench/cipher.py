@@ -35,6 +35,9 @@ Z_VARIANTS = ("example", "standard")
 _EXAMPLE_Z_OFFSET = 5
 # the attack needs 6 rounds, Simeck's largest variant 44
 MAX_ROUNDS = 4096
+# entries of all of a random spec's per-round tables: 64 MiB of uint32,
+# every 6-round spec and 256 rounds at width 16
+RANDOM_TABLE_LIMIT = 1 << 24
 
 
 def z_sequence(rounds, variant="example"):
@@ -70,8 +73,10 @@ class FeistelSpec:
         elif self.round_function == "random":
             if self.seed is None:
                 raise ValueError("random round functions need a seed")
-            rng = np.random.default_rng(self.seed)
             n = 1 << self.word_width
+            check_capacity("random round-table entries", self.rounds * n,
+                           RANDOM_TABLE_LIMIT)
+            rng = np.random.default_rng(self.seed)
             tables = tuple(rng.integers(0, n, size=n, dtype=np.uint32)
                            for _ in range(self.rounds))
             for table in tables:

@@ -4,10 +4,11 @@ The simulator works on the amplitude vector directly: the phase oracle
 flips marked amplitudes, and the diffusion about the uniform state is the
 rank-1 update 2|phi><phi| - I (never materialized as a matrix).  The
 diffusion fixes <phi|, so it leaves the amplitude sum unchanged, while the
-oracle changes it by -2 * (sum of the marked amplitudes).  The simulator
-carries that sum through the oracle, so each iteration is one in-place
-pass over the N amplitudes.  One oracle application is charged to the
-query ledger per iteration.
+oracle changes it by -2 * (sum of the marked amplitudes).  Carrying that
+sum makes the diffusion shifts of all R iterations a recursion over the
+marked amplitudes alone, so the N amplitudes can be swept one cache-sized
+block at a time, each block taking all R iterations.  One oracle
+application is charged to the query ledger per iteration.
 """
 
 import math
@@ -21,6 +22,9 @@ STATEVECTOR_LIMIT = 1 << 20
 # amplitude updates one statevector run may make, counting an iteration
 # as at least 2^12 of them: below that its Python overhead dominates
 STATEVECTOR_WORK_LIMIT = 1 << 30
+# amplitudes one block of the statevector sweep takes through every
+# iteration: 1 MiB of float64, which stays in L2 across the R passes
+STATEVECTOR_BLOCK = 1 << 17
 
 
 def _check_counts(n_items, n_marked):
@@ -102,27 +106,48 @@ def grover_run_statevector(inst, norm_log=None):
     per iteration.  If norm_log is a list, the state norm is appended
     after every operator application.
 
-    The amplitude sum is carried from the start: the oracle subtracts
-    twice the marked amplitudes from it (O(M)) before negating them, and
-    the diffusion, which leaves the sum unchanged, is then the single
-    in-place pass amp <- 2 * sum / N - amp.
+    The amplitude sum is carried from the start: each oracle subtracts
+    twice the marked amplitudes from it before negating them, and each
+    diffusion, which leaves it unchanged, maps a to 2 * sum / N - a (a
+    negated marked amplitude -a to the same float as 2 * sum / N + a).
+    That recursion runs first, over the marked amplitudes alone, and
+    yields the R shifts; then each STATEVECTOR_BLOCK-amplitude block
+    takes all R updates a <- shift - a while it stays in cache, and the
+    marked entries are overwritten with the recursion's values.  Every
+    amplitude sees the same floating-point operations in the same order
+    as in a per-iteration sweep, so the probabilities are bit-identical
+    to it.  With a norm_log the blocks also negate their marked entries,
+    keeping them true for the norms, which are summed block by block.
     """
     n = inst.n_items
     check_statevector(n, inst.iterations)
     marked = np.array(inst.marked)
     amp = np.full(n, 1 / math.sqrt(n))
-    total = amp.sum()
-    ledger = QueryLedger()
+    total = float(amp.sum())
+    marked_amp = amp[marked]
+    shifts = []
     for _ in range(inst.iterations):
-        total -= 2 * amp[marked].sum()
-        amp[marked] = -amp[marked]
-        ledger.charge(1)
-        if norm_log is not None:
-            norm_log.append(float(np.linalg.norm(amp)))
-        np.subtract(2 * total / n, amp, out=amp)
-        if norm_log is not None:
-            norm_log.append(float(np.linalg.norm(amp)))
-    return amp ** 2, ledger
+        total -= 2 * float(marked_amp.sum())
+        shifts.append(2 * total / n)
+        np.add(marked_amp, shifts[-1], out=marked_amp)
+    squares = np.zeros(2 * len(shifts))
+    for lo in range(0, n, STATEVECTOR_BLOCK):
+        block = amp[lo:lo + STATEVECTOR_BLOCK]
+        if norm_log is None:
+            for shift in shifts:
+                np.subtract(shift, block, out=block)
+            continue
+        inside = marked[(marked >= lo) & (marked < lo + block.size)] - lo
+        for i, shift in enumerate(shifts):
+            block[inside] = -block[inside]
+            squares[2 * i] += block @ block
+            np.subtract(shift, block, out=block)
+            squares[2 * i + 1] += block @ block
+    amp[marked] = marked_amp
+    if norm_log is not None:
+        norm_log.extend(np.sqrt(squares).tolist())
+    ledger = QueryLedger(oracle_queries=inst.iterations)
+    return np.square(amp, out=amp), ledger
 
 
 def marked_probability(inst):

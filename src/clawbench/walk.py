@@ -13,8 +13,10 @@ Two exact simulators are provided:
 * FullWalkSim enumerates every basis state (S, z) per side.  Ordered by
   S and then z, the two diffusions are reflections about the mean of
   consecutive groups and the two queries are index permutations, so a
-  step costs O(dim^2) on the dim x dim state.  The phase flip and the
-  diffusions work in place and each query is one gather into a new
+  step costs O(dim^2) on the dim x dim state.  The side being stepped is
+  kept on axis 0, so its groups and gathers are contiguous rows, and a
+  side switch is one transposing copy.  The phase flip and the
+  diffusions work in place, and each query and each switch is one new
   state, so a run holds about two states at its peak.  Exponential,
   guarded.
 * CollapsedWalkSim tracks only the three per-side symmetry classes of a
@@ -40,6 +42,8 @@ from .grover import QueryLedger
 
 FULL_BASIS_GUARD = 10_000_000
 WALK_STEP_GUARD = 1 << 20
+# outer repetitions tuning scans, as a multiple of walk_params' count
+TUNING_SCAN = 3
 
 
 class UniqueClawRequired(RuntimeError):
@@ -154,28 +158,23 @@ def _side_operators(n_side, r):
     return basis, insert, np.argsort(insert)
 
 
-def _reflect(state, axis, k):
-    """Diffusion 2 mean - x over consecutive groups of k entries along axis,
-    in place: the reflection about the uniform superposition of each group.
+def _reflect(state, k):
+    """Diffusion 2 mean - x over consecutive groups of k rows, in place:
+    the reflection about the uniform superposition of each group.
 
     state must be C-contiguous, so the grouped reshape is a view.  The
-    group sums add the k columns one after another, which is the order
-    numpy's mean takes along axis 0 for every k and along the contiguous
-    axis 1 for k <= 7, so the result is bit-identical to 2 * mean -
-    groups there; from k = 8 on, numpy sums axis 1 pairwise and the last
-    bits differ.  With walk_params' subset size the full-basis guard
-    admits N <= 11, where k <= 7.  The one temporary is the group means,
-    1/k of the state.
+    group sums add the k rows one after another, the order numpy's mean
+    takes along a non-contiguous axis, so the result is bit-identical to
+    2 * mean - groups.  The one temporary is the group means, 1/k of the
+    state.
     """
-    shape = state.shape
-    groups = state.reshape(shape[:axis] + (-1, k) + shape[axis + 1:])
-    lead = (slice(None),) * (axis + 1)
-    twice_mean = groups[lead + (0,)].copy()
+    groups = state.reshape(-1, k, *state.shape[1:])
+    twice_mean = groups[:, 0].copy()
     for i in range(1, k):
-        twice_mean += groups[lead + (i,)]
+        twice_mean += groups[:, i]
     twice_mean /= k
     twice_mean *= 2
-    np.subtract(np.expand_dims(twice_mean, axis + 1), groups, out=groups)
+    np.subtract(twice_mean[:, None], groups, out=groups)
 
 
 class FullWalkSim(_WalkSim):
@@ -187,6 +186,17 @@ class FullWalkSim(_WalkSim):
     """
 
     _cdf = None     # measurement CDF of the current state, once measured
+    _rows = 1       # the side on axis 0 of the stored amplitudes
+
+    @property
+    def state(self):
+        """The dim x dim amplitudes, side 1 on axis 0: the stored array,
+        or its transposed view while side 2 is on axis 0."""
+        return self._amps if self._rows == 1 else self._amps.T
+
+    @state.setter
+    def state(self, amps):
+        self._amps, self._rows = amps, 1
 
     def __init__(self, n_side, params, claws):
         super().__init__(n_side, params)
@@ -205,29 +215,32 @@ class FullWalkSim(_WalkSim):
             self.mark |= np.outer(in1, in2)
 
     def phase_flip(self):
-        np.negative(self.state, out=self.state, where=self.mark)
+        state = self.state
+        np.negative(state, out=state, where=self.mark)
         self._cdf = None
         self.norm_log.append(self.norm())
 
     def walk_step(self, side, fine=True):
         """One walk step on one side (1 or 2); charges two queries.
 
-        The four sub-operators act on the state's axis side - 1: the
-        diffusion over z outside S (groups of N - r entries share S), the
-        insert query, the diffusion over z in S' (groups of r + 1) and
-        the remove query.  The diffusions work in place; each query is
-        one gather into a new state, so at most two states are live.
-        fine=True logs the norm after each sub-operator, fine=False once
-        per step; the state is the same.
+        The four sub-operators act on that side's axis, which is first
+        moved to axis 0 by one transposing copy if the other side is
+        there: the diffusion over z outside S (groups of N - r entries
+        share S), the insert query, the diffusion over z in S' (groups of
+        r + 1) and the remove query.  The diffusions work in place; the
+        copy and each query are one new state, so at most two states are
+        live.  fine=True logs the norm after each sub-operator,
+        fine=False once per step; the state is the same.
         """
-        axis = side - 1
+        if side != self._rows:
+            self._amps, self._rows = np.ascontiguousarray(self._amps.T), side
         r = self.params.r
         for k, query in ((self.n_side - r, self.insert),
                          (r + 1, self.remove)):
-            _reflect(self.state, axis, k)
+            _reflect(self._amps, k)
             if fine:
                 self.norm_log.append(self.norm())
-            self.state = self.state.take(query, axis)
+            self._amps = self._amps.take(query, 0)
             if fine:
                 self.norm_log.append(self.norm())
         if not fine:
@@ -257,7 +270,7 @@ class FullWalkSim(_WalkSim):
         repeated measurements of one run share it.
         """
         if self._cdf is None:
-            self._cdf = choice_cdf(np.square(self.state).ravel())
+            self._cdf = choice_cdf(np.square(self.state, order="C").ravel())
         pick = int(self._cdf.searchsorted(rng.random(), side="right"))
         d = len(self.basis)
         s1, s2 = self.basis[pick // d][0], self.basis[pick % d][0]
@@ -350,7 +363,13 @@ class WalkResult:
     all_claws: list = field(default_factory=list)
 
 
-def tune_outer_reps(n_side, params, max_multiplier=3):
+def _tuning_scan(params, max_multiplier=TUNING_SCAN):
+    """The walk tune_outer_reps simulates: max_multiplier * outer_reps
+    repetitions of params."""
+    return replace(params, outer_reps=max_multiplier * params.outer_reps)
+
+
+def tune_outer_reps(n_side, params, max_multiplier=TUNING_SCAN):
     """Pick the outer repetition count maximizing the collapsed-mode
     success probability within [1, max_multiplier * base].
 
@@ -362,11 +381,11 @@ def tune_outer_reps(n_side, params, max_multiplier=3):
     itself a walk of max_multiplier * outer_reps repetitions, so it must
     pass the step guard before anything is simulated.
     """
-    check_walk_steps(replace(params,
-                             outer_reps=max_multiplier * params.outer_reps))
+    scan = _tuning_scan(params, max_multiplier)
+    check_walk_steps(scan)
     sim = CollapsedWalkSim(n_side, params)
     probs = []
-    for _ in range(max_multiplier * params.outer_reps):
+    for _ in range(scan.outer_reps):
         sim.outer_rep()
         probs.append(sim.success_prob())
     best = probs.index(max(probs)) + 1 if probs else params.outer_reps
@@ -383,9 +402,10 @@ def claw_walk_sample(problem, seed, mode="collapsed", params=None,
     queries of every attempt.  The sampled claw is classically verified
     against the claw census: claws, the complete claw set in ascending
     (x1, x2) order, when the caller has one (the attack hands over its
-    sort-and-match result), else the exhaustive scan's.  The step and
-    full-basis guards refuse before the census, and collapsed mode's
-    unique-claw check, which needs the census, before tuning.
+    sort-and-match result), else the exhaustive scan's.  The step guard,
+    on the walk and on tuning's scan, and the full-basis guard refuse
+    before the census, and collapsed mode's unique-claw check, which
+    needs the census, before tuning.
     """
     if mode not in ("collapsed", "full"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -393,6 +413,8 @@ def claw_walk_sample(problem, seed, mode="collapsed", params=None,
     n = problem.n_side
     params = params or walk_params(n, n)
     check_walk_steps(params)
+    if tune:
+        check_walk_steps(_tuning_scan(params))
     if mode == "full":
         check_full_basis(n, params.r)
     all_claws = find_claws_exhaustive(problem) if claws is None else claws

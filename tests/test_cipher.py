@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from clawbench.cipher import (MAX_ROUNDS, FeistelSpec, feistel_decrypt,
-                              feistel_encrypt, partial_decrypt, random_subkeys,
-                              simeck_f, simeck_key_schedule, z_sequence)
+from clawbench.cipher import (MAX_ROUNDS, RANDOM_TABLE_LIMIT, FeistelSpec,
+                              feistel_decrypt, feistel_encrypt,
+                              partial_decrypt, random_subkeys, simeck_f,
+                              simeck_key_schedule, z_sequence)
 from clawbench.claw import CapacityError
 from clawbench.words import mask, rotl
 
@@ -117,6 +120,25 @@ def test_round_count_guard():
         FeistelSpec(word_width=16, rounds=10 ** 9, round_function="random",
                     seed=0)
     assert str(exc.value) == "rounds: 1000000000 exceeds guard 4096"
+
+
+def test_random_table_guard():
+    # 256 width-16 tables are the limit; beyond it the spec is refused
+    # before any table is drawn
+    assert RANDOM_TABLE_LIMIT == 256 << 16
+    assert len(FeistelSpec(8, MAX_ROUNDS, "random", seed=0)._tables) == 4096
+    with pytest.raises(CapacityError) as exc:
+        FeistelSpec(16, 257, "random", seed=0)
+    assert str(exc.value) == ("random round-table entries: 16842752 "
+                              "exceeds guard 16777216")
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            FeistelSpec(16, MAX_ROUNDS, "random", seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_random_round_functions_need_seed():

@@ -537,12 +537,14 @@ def test_sim_clawwalk_refuses_tuning_scan_over_the_guard(capsys,
     assert err == "capacity guard: walk steps: 3126870 exceeds guard 1048576\n"
 
 
-@pytest.mark.parametrize("argv", [
-    ("--mode", "full"),
-    ("--multiplier", "1e7"),
-], ids=["full-basis", "steps"])
+@pytest.mark.parametrize("argv, what", [
+    (("--mode", "full"), "full walk amplitudes: "),
+    (("--multiplier", "1e7"), "walk steps: "),
+    # the walk passes at 416,000 steps, tuning's scan is 3x that
+    (("--multiplier", "1000"), "walk steps: 1248000 "),
+], ids=["full-basis", "steps", "tuning-scan"])
 def test_sim_clawwalk_refuses_before_the_claw_census(capsys, monkeypatch,
-                                                      argv):
+                                                      argv, what):
     def no_census(problem):
         raise AssertionError("claw census built before the refusal")
 
@@ -551,6 +553,7 @@ def test_sim_clawwalk_refuses_before_the_claw_census(capsys, monkeypatch,
     assert code == 4
     assert out == ""
     assert err.count("\n") == 1
+    assert err.startswith("capacity guard: " + what)
 
 
 MASTER = ("--master", "B0AEC7E9C3CEE6C3")

@@ -45,10 +45,10 @@ def test_ledger_law():
     assert ledger_law(p) == 41 + 41 + 12 * (6 + 6) * 2
 
 
-def reflected(state, axis, k):
+def reflected(state, k):
     """_reflect works in place: apply it to a copy."""
     out = state.copy()
-    _reflect(out, axis, k)
+    _reflect(out, k)
     return out
 
 
@@ -66,9 +66,9 @@ def test_full_side_operators_are_orthogonal():
     basis, insert, remove = _side_operators(n_side, r)
     eye = np.eye(len(basis))
     # each sub-operator applied to the identity along axis 0
-    d_out = reflected(eye, 0, n_side - r)
+    d_out = reflected(eye, n_side - r)
     ins = eye.take(insert, 0)
-    d_in = reflected(eye, 0, r + 1)
+    d_in = reflected(eye, r + 1)
     rem = eye.take(remove, 0)
     # the two diffusions are reflections, the two queries permutations
     assert np.allclose(d_out @ d_out, eye, atol=1e-12)
@@ -86,7 +86,7 @@ def test_full_sub_operators_match_their_definition():
     # each diffusion mixes the states that share their subset
     for states, k in ((basis, n_side - r), (grown, r + 1)):
         same = np.array([[a[0] == b[0] for b in states] for a in states])
-        assert np.allclose(reflected(eye, 0, k), same * 2 / k - eye,
+        assert np.allclose(reflected(eye, k), same * 2 / k - eye,
                            atol=1e-15)
     # insert gathers (S, z) into (S + {z}, z); remove gathers it back
     for i, (s, z) in enumerate(basis):
@@ -94,16 +94,61 @@ def test_full_sub_operators_match_their_definition():
         assert insert[j] == i and remove[i] == j
 
 
-@pytest.mark.parametrize("k", range(2, 8))
+@pytest.mark.parametrize("k", range(2, 13))
 def test_in_place_reflection_is_bit_identical_to_the_mean(k):
-    """Every group size a reachable full-basis run uses: the in-place
-    sequential sum gives numpy's mean to the last bit on both axes."""
+    """Every group size a reachable full-basis run uses, and larger ones:
+    the in-place sequential sum over rows gives numpy's mean to the last
+    bit."""
     rng = np.random.default_rng(k)
-    for axis in (0, 1):
-        state = rng.standard_normal((6 * k, 9 * k))
-        want = reference_reflect(state, axis, k)
-        _reflect(state, axis, k)
-        assert state.tobytes() == want.tobytes(), axis
+    state = rng.standard_normal((6 * k, 9 * k))
+    want = reference_reflect(state, 0, k)
+    _reflect(state, k)
+    assert state.tobytes() == want.tobytes()
+
+
+def axis_reference_walk(n_side, params, claws):
+    """The full walk with side 1 on axis 0 throughout: each side's
+    sub-operators act along that side's own axis, side 2's along the
+    contiguous axis 1, each into a new array.  Returns the final state
+    and the claw mark."""
+    r = params.r
+    basis, insert, remove = _side_operators(n_side, r)
+    mark = np.zeros((len(basis), len(basis)), dtype=bool)
+    for j1, j2 in claws:
+        mark |= np.outer([j1 in s for s, _ in basis],
+                         [j2 in s for s, _ in basis])
+    state = np.full(mark.shape, 1 / len(basis))
+    for _ in range(params.outer_reps):
+        state = np.where(mark, -state, state)
+        for axis, steps in ((0, params.t1), (1, params.t2)):
+            for _ in range(steps):
+                for k, query in ((n_side - r, insert), (r + 1, remove)):
+                    state = reference_reflect(state, axis, k).take(query,
+                                                                   axis)
+    return state, mark
+
+
+@pytest.mark.parametrize("multiplier", (0.5, 1, 2))
+@pytest.mark.parametrize("n_side", range(4, 11))
+def test_full_walk_is_bit_identical_to_the_axis_reference(n_side,
+                                                          multiplier):
+    """Stepping each side on axis 0, with one transposing copy per side
+    switch, leaves every amplitude as the per-axis reference computes it.
+    The reference's numpy mean along axis 1 adds a group's entries one
+    after another, as the simulator does, only for groups below 8, which
+    walk_params gives up to N = 11."""
+    params = walk_params(n_side, n_side, multiplier)
+    assert max(n_side - params.r, params.r + 1) < 8
+    rng = np.random.default_rng([n_side, int(2 * multiplier)])
+    claws = [tuple(int(v) for v in rng.integers(0, n_side, size=2))
+             for _ in range(1 + (n_side + int(2 * multiplier)) % 3)]
+    want, mark = axis_reference_walk(n_side, params, claws)
+    want_prob = float((want[mark] ** 2).sum())
+    for fine in (True, False):
+        sim = FullWalkSim(n_side, params, claws)
+        assert repr(sim.run(fine)) == repr(want_prob)
+        assert sim.state.tobytes() == want.tobytes()
+        assert sim.norm_drift() < 1e-12
 
 
 def test_full_walk_peak_memory():
