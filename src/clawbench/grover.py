@@ -5,10 +5,10 @@ flips marked amplitudes, and the diffusion about the uniform state is the
 rank-1 update 2|phi><phi| - I (never materialized as a matrix).  The
 diffusion fixes <phi|, so it leaves the amplitude sum unchanged, while the
 oracle changes it by -2 * (sum of the marked amplitudes).  Carrying that
-sum makes the diffusion shifts of all R iterations a recursion over the
-marked amplitudes alone, so the N amplitudes can be swept one cache-sized
-block at a time, each block taking all R iterations.  One oracle
-application is charged to the query ledger per iteration.
+sum, and one scalar for the unmarked amplitudes, which all start equal
+and take the same update every iteration, makes a run a recursion over
+the M marked amplitudes; the N amplitudes are written once, at the end.
+One oracle application is charged to the query ledger per iteration.
 """
 
 import math
@@ -22,9 +22,6 @@ STATEVECTOR_LIMIT = 1 << 20
 # amplitude updates one statevector run may make, counting an iteration
 # as at least 2^12 of them: below that its Python overhead dominates
 STATEVECTOR_WORK_LIMIT = 1 << 30
-# amplitudes one block of the statevector sweep takes through every
-# iteration: 1 MiB of float64, which stays in L2 across the R passes
-STATEVECTOR_BLOCK = 1 << 17
 
 
 def _check_counts(n_items, n_marked):
@@ -99,6 +96,11 @@ def check_statevector(n_items, iterations):
                    iterations * max(n_items, 1 << 12), STATEVECTOR_WORK_LIMIT)
 
 
+def _norm(n_unmarked, unmarked_amp, marked_amp):
+    return math.sqrt(n_unmarked * unmarked_amp ** 2
+                     + float(marked_amp @ marked_amp))
+
+
 def grover_run_statevector(inst, norm_log=None):
     """Exact measurement distribution after R iterations.
 
@@ -110,42 +112,33 @@ def grover_run_statevector(inst, norm_log=None):
     twice the marked amplitudes from it before negating them, and each
     diffusion, which leaves it unchanged, maps a to 2 * sum / N - a (a
     negated marked amplitude -a to the same float as 2 * sum / N + a).
-    That recursion runs first, over the marked amplitudes alone, and
-    yields the R shifts; then each STATEVECTOR_BLOCK-amplitude block
-    takes all R updates a <- shift - a while it stays in cache, and the
-    marked entries are overwritten with the recursion's values.  Every
-    amplitude sees the same floating-point operations in the same order
-    as in a per-iteration sweep, so the probabilities are bit-identical
-    to it.  With a norm_log the blocks also negate their marked entries,
-    keeping them true for the norms, which are summed block by block.
+    Every unmarked amplitude starts at 1/sqrt(N) and takes the same
+    update a <- 2 * sum / N - a, so one scalar carries them all and the
+    loop touches only it and the M marked amplitudes.  Each amplitude
+    sees the same floating-point operations in the same order as in a
+    sweep over all N per iteration, so the probabilities are
+    bit-identical to that sweep; the norms, summed from the scalar and
+    the M marked amplitudes, agree with its to rounding.
     """
     n = inst.n_items
     check_statevector(n, inst.iterations)
     marked = np.array(inst.marked)
     amp = np.full(n, 1 / math.sqrt(n))
     total = float(amp.sum())
+    unmarked_amp = float(amp[0])
     marked_amp = amp[marked]
-    shifts = []
+    n_unmarked = n - marked.size
     for _ in range(inst.iterations):
         total -= 2 * float(marked_amp.sum())
-        shifts.append(2 * total / n)
-        np.add(marked_amp, shifts[-1], out=marked_amp)
-    squares = np.zeros(2 * len(shifts))
-    for lo in range(0, n, STATEVECTOR_BLOCK):
-        block = amp[lo:lo + STATEVECTOR_BLOCK]
-        if norm_log is None:
-            for shift in shifts:
-                np.subtract(shift, block, out=block)
-            continue
-        inside = marked[(marked >= lo) & (marked < lo + block.size)] - lo
-        for i, shift in enumerate(shifts):
-            block[inside] = -block[inside]
-            squares[2 * i] += block @ block
-            np.subtract(shift, block, out=block)
-            squares[2 * i + 1] += block @ block
+        if norm_log is not None:
+            norm_log.append(_norm(n_unmarked, unmarked_amp, marked_amp))
+        shift = 2 * total / n
+        unmarked_amp = shift - unmarked_amp
+        np.add(marked_amp, shift, out=marked_amp)
+        if norm_log is not None:
+            norm_log.append(_norm(n_unmarked, unmarked_amp, marked_amp))
+    amp.fill(unmarked_amp)
     amp[marked] = marked_amp
-    if norm_log is not None:
-        norm_log.extend(np.sqrt(squares).tolist())
     ledger = QueryLedger(oracle_queries=inst.iterations)
     return np.square(amp, out=amp), ledger
 

@@ -412,7 +412,7 @@ def claw_walk_sample(problem, seed, mode="collapsed", params=None,
     rng = np.random.default_rng(seed)
     n = problem.n_side
     params = params or walk_params(n, n)
-    check_walk_steps(params)
+    check_walk_steps(params)    # first, so a long walk is refused by its count
     if tune:
         check_walk_steps(_tuning_scan(params))
     if mode == "full":

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from clawbench import grover
 from clawbench.claw import CapacityError
-from clawbench.grover import (STATEVECTOR_BLOCK, STATEVECTOR_LIMIT,
+from clawbench.grover import (STATEVECTOR_LIMIT,
                               STATEVECTOR_WORK_LIMIT,
                               GroverInstance, QueryLedger, check_statevector,
                               grover_iterations, grover_run_statevector,
@@ -130,53 +129,43 @@ def test_one_pass_matches_two_pass_reference(n, data, scale):
     assert len(log) == len(ref_log)
 
 
-def block_edges(n, block):
-    """Indices below N on either side of a block boundary."""
-    return sorted({i for lo in range(0, n, block)
-                   for i in (lo - 1, lo) if 0 <= i < n} | {n - 1})
-
-
 @st.composite
-def blocked_cases(draw):
-    """(block size, N, marked): small blocks, so that small N spans many
-    of them, and marked items drawn partly from the block edges."""
-    block = draw(st.sampled_from((7, 64, STATEVECTOR_BLOCK)))
+def statevector_cases(draw):
+    """(N, marked, R): marked items partly drawn from both ends, R = 0,
+    R1 or 2 R1 for R1 = grover_iterations."""
     n = draw(st.integers(4, 1 << 10))
-    index = st.one_of(st.sampled_from(block_edges(n, block)),
+    index = st.one_of(st.sampled_from((0, 1, n - 2, n - 1)),
                       st.integers(0, n - 1))
-    return block, n, draw(st.lists(index, min_size=1, max_size=12,
-                                   unique=True))
+    marked = draw(st.lists(index, min_size=1, max_size=12, unique=True))
+    scale = draw(st.sampled_from((0, 1, 2)))
+    return n, marked, scale * grover_iterations(n, len(marked))
 
 
 @settings(max_examples=100, deadline=None)
-@example(case=(7, 1 << 10, list(range(0, 1 << 10, 97))), scale=1)
-@example(case=(64, 200, [0, 6, 7, 63, 64, 127, 128, 199]), scale=2)
-@example(case=(7, 5, [4]), scale=0)
-@given(case=blocked_cases(), scale=st.sampled_from((0, 1, 2)))
-def test_blocked_sweep_is_bit_identical_to_per_iteration(case, scale):
-    """All R iterations block by block give the per-iteration sweep's
-    probabilities to the last bit, marked items on block edges and M >= 8
-    included; the norms, summed block by block, agree to rounding."""
-    block, n, marked = case
-    inst = GroverInstance(n, marked, scale * grover_iterations(n, len(marked)))
+@example(case=(1 << 10, list(range(0, 1 << 10, 97)), 9))
+@example(case=(200, [0, 6, 7, 63, 64, 127, 128, 199], 8))
+@example(case=(5, [4], 0))
+@example(case=(6, list(range(6)), 3))
+@given(case=statevector_cases())
+def test_statevector_is_bit_identical_to_per_iteration(case):
+    """The scalar recursion gives the probabilities of the sweep over all
+    N amplitudes to the last bit, marked items at both ends, M >= 8 and
+    M = N included; its norms agree to rounding."""
+    inst = GroverInstance(*case)
     want_log = []
     want, want_ledger = per_iteration_reference(inst, want_log)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(grover, "STATEVECTOR_BLOCK", block)
-        probs, ledger = grover_run_statevector(inst)
-        log = []
-        logged, _ = grover_run_statevector(inst, norm_log=log)
+    probs, ledger = grover_run_statevector(inst)
+    log = []
+    logged, _ = grover_run_statevector(inst, norm_log=log)
     assert probs.tobytes() == logged.tobytes() == want.tobytes()
     assert ledger == want_ledger
     assert len(log) == len(want_log)
     assert np.allclose(log, want_log, rtol=0, atol=1e-13)
 
 
-def test_blocked_sweep_at_the_block_size():
-    # three whole blocks and a short one, marked items on their edges
-    n = 3 * STATEVECTOR_BLOCK + 5
-    inst = GroverInstance(n, (0, STATEVECTOR_BLOCK - 1, STATEVECTOR_BLOCK,
-                              3 * STATEVECTOR_BLOCK, n - 1))
+def test_statevector_is_bit_identical_at_large_n():
+    n = 3 * (1 << 17) + 5
+    inst = GroverInstance(n, (0, (1 << 17) - 1, 1 << 17, 3 << 17, n - 1))
     probs, _ = grover_run_statevector(inst)
     assert probs.tobytes() == per_iteration_reference(inst)[0].tobytes()
 
