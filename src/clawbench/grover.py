@@ -123,9 +123,9 @@ def grover_run_statevector(inst, norm_log=None):
     n = inst.n_items
     check_statevector(n, inst.iterations)
     marked = np.array(inst.marked)
-    amp = np.full(n, 1 / math.sqrt(n))
+    unmarked_amp = 1 / math.sqrt(n)
+    amp = np.full(n, unmarked_amp)
     total = float(amp.sum())
-    unmarked_amp = float(amp[0])
     marked_amp = amp[marked]
     n_unmarked = n - marked.size
     for _ in range(inst.iterations):
