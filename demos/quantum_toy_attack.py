@@ -2,9 +2,9 @@
 
 Uses the collapsed subset-walk simulator for the claw stage (falling
 back to the classical sorted search when the instance's claw is not
-unique) and Grover sampling from the closed-form measurement law for the
-later key stages, then cross-checks against the exhaustive classical
-pipeline.
+unique); the later key stages take their candidates from the classical
+sweeps and are charged BBHT's expected Grover query count for their
+survivor counts.  Cross-checks against the exhaustive classical pipeline.
 """
 
 import argparse

@@ -264,38 +264,26 @@ class QueryStats:
     walk_success_prob: float | None = None
 
 
-GROVER_RETRIES = 5
-
-
-def _search_candidates(stage, survivors, spec, backend, seed, stats):
+def _search_candidates(stage, survivors, spec, backend, stats):
     """Candidate key values for one Grover-style stage, and the stage's
-    report figure: its quantum queries, or else N.
+    report figure: N under the exhaustive backend, else its quantum
+    queries.
 
     survivors is the stage's full sweep, the ascending array of keys that
     pass its predicate, and is returned as the candidates for both
     backends so the downstream pipeline is backend-independent.  The
-    grover backend also samples the survivors and verifies each sample,
-    up to GROVER_RETRIES times, for the quantum query count.  The call is
-    charged to stats under stage: the one vectorised sweep, N classical
-    evaluations however many samples missed, plus the queries.
+    grover backend's queries are grover.bbht_expected_queries(N, M) for
+    the M survivors: what an attacker who does not know M expects to pay
+    to find one of them.  The call is charged to stats under stage: the
+    one vectorised sweep's N classical evaluations, plus the queries.
     """
     n = 1 << spec.word_width
-    queries = 0
-    if backend != "exhaustive" and survivors.size:
-        # iteration count assumes a single marked element; spurious
-        # survivors are handled by reruns and classical verification
-        iters = grover.grover_iterations(n, 1)
-        for attempt in range(GROVER_RETRIES):
-            idx, ledger = grover.grover_sample(
-                lambda x: x in survivors, n, seed=seed + attempt,
-                iterations=iters, marked=survivors)
-            queries += ledger.oracle_queries
-            if idx in survivors:
-                break
+    queries = (0 if backend == "exhaustive"
+               else grover.bbht_expected_queries(n, survivors.size))
     for totals, count in ((stats.grover_queries, queries),
                           (stats.classical_evals, n)):
         totals[stage] = totals.get(stage, 0) + count
-    return survivors, queries or n
+    return survivors, n if backend == "exhaustive" else queries
 
 
 @dataclass
@@ -370,7 +358,7 @@ def _extra_pair_filter(k456, c_star, pair_set, spec):
 
 
 def resolve_k1_k2_k3(c_star, k2_prime, pair_set, spec, k456, backend,
-                     seed, stats):
+                     stats):
     """Resolve (K1, K2, K3) via the extra pair, or report the equivalence
     family (representative K1 = 0) when none is supplied, as ((K1, K2,
     K3), uniqueness, figure); figure is the K1 sweep's, 0 in family mode.
@@ -409,7 +397,7 @@ def resolve_k1_k2_k3(c_star, k2_prime, pair_set, spec, k456, backend,
         cands, figure = _search_candidates(
             "resolve-k1",
             _derivative_sweep(2, c, ((a ^ c, r4 ^ l1 ^ k2_prime),), spec),
-            spec, backend, seed, stats)
+            spec, backend, stats)
         if not cands.size:
             raise AttackError("no K1 satisfies the extra pair; "
                               "upstream keys wrong")
@@ -431,8 +419,9 @@ def run_asr_attack(pair_set, spec, backends="classical", seed=0):
     and K4, the K1 ^ K3 constant, then (K1, K2, K3) resolution and final
     trial-encryption arbitration.
 
-    backends is a BACKEND_PRESETS name.  Returns (RecoveredKeys,
-    QueryStats, stages) where stages is the per-stage report list.
+    backends is a BACKEND_PRESETS name; seed seeds only the claw walk.
+    Returns (RecoveredKeys, QueryStats, stages) where stages is the
+    per-stage report list.
     """
     if spec.rounds != 6:
         raise AttackError("the attack targets the 6-round structure")
@@ -454,11 +443,10 @@ def run_asr_attack(pair_set, spec, backends="classical", seed=0):
     @functools.cache
     def sweep(known):
         """(survivors, figure) of the K5 sweep of (K6,) or K4 of (K5, K6)."""
-        stage, want, offset = (("k5", l1_diffs, 1) if len(known) == 1
-                               else ("k4", (0, 0), 2))
+        stage, want = ("k5", l1_diffs) if len(known) == 1 else ("k4", (0, 0))
         return _search_candidates(
             stage, _pair_sweep(known, want, pair_set, spec),
-            spec, search, seed + offset, stats)
+            spec, search, stats)
 
     def hexed(value):
         """word_to_hex over a word or nested lists and tuples of words."""
@@ -482,7 +470,7 @@ def run_asr_attack(pair_set, spec, backends="classical", seed=0):
                 try:
                     k123, uniqueness, resolve_figure = resolve_k1_k2_k3(
                         c_star, k2_prime, pair_set, spec, (k4, k5, k6),
-                        search, seed + 3, stats)
+                        search, stats)
                 except AttackError:
                     continue
                 keys = (*k123, k4, k5, k6)

@@ -1,4 +1,5 @@
-"""Grover search: closed-form success law and an exact statevector simulator.
+"""Grover search: closed-form success law, the expected cost of search with
+an unknown number of marked items, and an exact statevector simulator.
 
 The simulator works on the amplitude vector directly: the phase oracle
 flips marked amplitudes, and the diffusion about the uniform state is the
@@ -11,6 +12,7 @@ the M marked amplitudes; the N amplitudes are written once, at the end.
 One oracle application is charged to the query ledger per iteration.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -64,6 +66,42 @@ def grover_success_prob(n_items, n_marked, iterations):
     return math.sin((2 * iterations + 1) * theta) ** 2
 
 
+@functools.cache
+def bbht_expected_queries(n_items, n_marked):
+    """Expected oracle queries, rounded up, of Boyer-Brassard-Hoyer-Tapp's
+    search for one of M marked items among N with M unknown
+    (quant-ph/9605034, Theorem 3).
+
+    Round i runs j iterations, j uniform in {0, ..., m-1}, m = ceil(s_i),
+    s_1 = 1 and s_(i+1) = min(6/5 * s_i, sqrt(N)), and measures a marked
+    item with probability 1/2 - sin(4m theta) / (4m sin(2 theta)),
+    sin^2(theta) = M/N (their Lemma 2; exactly M/N at m = 1).  Once s
+    reaches sqrt(N) every round is the same, so the tail is geometric and
+    summed in closed form.  The schedule never stops when M = 0; that is
+    charged ceil(9/2 * sqrt(N)), BBHT's bound at M = 1, where an attacker
+    who does not know M gives up.
+    """
+    if not 0 <= n_marked <= n_items:
+        raise ValueError(f"marked count must lie in [0, {n_items}], "
+                         f"got {n_marked}")
+    root = math.sqrt(n_items)
+    if n_marked == 0:
+        return math.ceil(4.5 * root)
+    theta = math.asin(math.sqrt(n_marked / n_items))
+    s, alive, total = 1.0, 1.0, 0.0
+    while alive:
+        m = math.ceil(s)
+        p_hit = (n_marked / n_items if m == 1 else
+                 0.5 - math.sin(4 * m * theta) / (4 * m * math.sin(2 * theta)))
+        if s == root:
+            total += alive * (m - 1) / 2 / p_hit
+            break
+        total += alive * (m - 1) / 2
+        alive *= 1 - p_hit
+        s = min(1.2 * s, root)
+    return math.ceil(total)
+
+
 @dataclass
 class GroverInstance:
     n_items: int
@@ -88,12 +126,14 @@ class QueryLedger:
         self.oracle_queries += n
 
 
-def check_statevector(n_items, iterations):
+def check_statevector(n_items, iterations, n_marked):
     """Refuse a statevector run beyond STATEVECTOR_LIMIT amplitudes or
-    STATEVECTOR_WORK_LIMIT amplitude updates, before anything runs."""
+    STATEVECTOR_WORK_LIMIT amplitude updates, before anything runs; an
+    iteration updates the M marked amplitudes and the unmarked scalar."""
     check_capacity("statevector amplitudes", n_items, STATEVECTOR_LIMIT)
     check_capacity("statevector amplitude updates",
-                   iterations * max(n_items, 1 << 12), STATEVECTOR_WORK_LIMIT)
+                   iterations * max(n_marked + 1, 1 << 12),
+                   STATEVECTOR_WORK_LIMIT)
 
 
 def _norm(n_unmarked, unmarked_amp, marked_amp):
@@ -121,7 +161,7 @@ def grover_run_statevector(inst, norm_log=None):
     the M marked amplitudes, agree with its to rounding.
     """
     n = inst.n_items
-    check_statevector(n, inst.iterations)
+    check_statevector(n, inst.iterations, len(inst.marked))
     marked = np.array(inst.marked)
     unmarked_amp = 1 / math.sqrt(n)
     amp = np.full(n, unmarked_amp)

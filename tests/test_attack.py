@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from clawbench import attack, vectors, walk
-from clawbench.attack import (GROVER_RETRIES, AttackError, ChosenPairSet,
+from clawbench.attack import (AttackError, ChosenPairSet,
                               QueryStats, build_claw_problem, diff_f, diff_g,
                               family_member, k1k3_constant,
                               make_chosen_plaintext, make_pair_set,
@@ -14,7 +14,7 @@ from clawbench.cipher import (FeistelSpec, feistel_encrypt, partial_decrypt,
                               random_subkeys, simeck_f, simeck_key_schedule)
 from clawbench.claw import (concat_multi, find_claws_exhaustive,
                             find_claws_sorted, side_table)
-from clawbench.grover import grover_iterations
+from clawbench.grover import bbht_expected_queries
 from clawbench.words import domain, mask
 
 from family_law import member_collides, rule_delta
@@ -304,7 +304,7 @@ def test_resolve_without_extra_pair_reports_family():
     stats = QueryStats()
     (k1, k2, k3), uniq, figure = resolve_k1_k2_k3(
         vectors.K1_XOR_K3, vectors.K2_PRIME, paper_pair_set(), spec,
-        vectors.SUBKEYS[3:], "exhaustive", 0, stats)
+        vectors.SUBKEYS[3:], "exhaustive", stats)
     assert uniq == "equivalence-family"
     assert figure == 0
     assert stats.classical_evals == {}
@@ -683,10 +683,10 @@ def test_resolve_ledger_adds_every_sweep(monkeypatch):
 def test_sweep_ledger_adds_up_per_stage(monkeypatch):
     """No K5 input (K6,), K4 input (K5, K6) or resolve input (c*, K2', K4,
     K5, K6) is swept twice.  Every sweep charges the ledger once: N
-    evaluations, and under walk-sim between 1 and GROVER_RETRIES Grover
-    runs when it has survivors; the figure it returns is what it charged,
-    and each report stage shows the figure of the sweep of the verifying
-    tuple's inputs."""
+    evaluations, and under walk-sim exactly bbht_expected_queries(N, M)
+    for its M survivors; the figure it returns is those queries under
+    walk-sim and N under classical, and each report stage shows the
+    figure of the sweep of the verifying tuple's inputs."""
     report_names = {"k5": "k5", "k4": "k4", "resolve-k1": "resolve-k1-k2-k3"}
     search, pair_sweep = attack._search_candidates, attack._pair_sweep
     resolve = attack.resolve_k1_k2_k3
@@ -705,7 +705,6 @@ def test_sweep_ledger_adds_up_per_stage(monkeypatch):
     monkeypatch.setattr(attack, "resolve_k1_k2_k3", recording_resolve)
     for spec, pair_set in resolve_instances():
         n = 1 << spec.word_width
-        iters = grover_iterations(n, 1)
         for backend in ("classical", "walk-sim"):
             sweeps = {stage: {} for stage in report_names}
 
@@ -716,10 +715,13 @@ def test_sweep_ledger_adds_up_per_stage(monkeypatch):
                 out, figure = search(stage, *args)
                 q = stats.grover_queries[stage] - before[0]
                 assert stats.classical_evals[stage] - before[1] == n
-                assert figure == (q or n)
+                if backend == "classical":
+                    assert (q, figure) == (0, n)
+                else:
+                    assert q == figure == bbht_expected_queries(n, out.size)
                 inputs = current.pop(stage)
                 assert inputs not in sweeps[stage], (spec, stage, inputs)
-                sweeps[stage][inputs] = (out.size > 0, figure)
+                sweeps[stage][inputs] = (out.size, figure)
                 return out, figure
 
             monkeypatch.setattr(attack, "_search_candidates", counting_search)
@@ -734,13 +736,9 @@ def test_sweep_ledger_adds_up_per_stage(monkeypatch):
                 made = sweeps[stage]
                 assert made, (spec, backend, stage)
                 assert stats.classical_evals[stage] == len(made) * n
-                queries = stats.grover_queries[stage]
-                if backend == "classical":
-                    assert queries == 0
-                else:
-                    hits = sum(nonempty for nonempty, _ in made.values())
-                    assert queries % iters == 0
-                    assert hits <= queries // iters <= GROVER_RETRIES * hits
+                assert stats.grover_queries[stage] == (
+                    0 if backend == "classical" else
+                    sum(bbht_expected_queries(n, m) for m, _ in made.values()))
                 assert report[name] == made[verifying[stage]][1]
 
 
@@ -817,14 +815,25 @@ def test_cross_backend_equality_w8():
         assert results["walk-sim"] == results["exhaustive"]
 
 
-def test_grover_stage_iteration_count_w8():
+def test_grover_stage_iteration_count_w8(monkeypatch):
+    """The K5 stage's Grover ledger is BBHT's expected cost summed over
+    its sweeps, each at the sweep's own survivor count."""
     spec = FeistelSpec(word_width=8)
     keys = random_subkeys(spec, 77)
     pair_set = make_pair_set(spec, keys, 77)
+    pair_sweep, k5_counts = attack._pair_sweep, []
+
+    def recording_pair_sweep(known, *rest):
+        out = pair_sweep(known, *rest)
+        if len(known) == 1:
+            k5_counts.append(out.size)
+        return out
+
+    monkeypatch.setattr(attack, "_pair_sweep", recording_pair_sweep)
     _, stats, _ = run_asr_attack(pair_set, spec, backends="walk-sim", seed=0)
-    # floor((pi/4) * 2^(8/2)) = 12 iterations per Grover invocation
-    assert stats.grover_queries["k5"] % 12 == 0
-    assert stats.grover_queries["k5"] >= 12
+    assert k5_counts
+    assert stats.grover_queries["k5"] == sum(
+        bbht_expected_queries(256, m) for m in k5_counts) > 0
 
 
 def test_corrupted_ciphertext_rejected():

@@ -280,6 +280,12 @@ def test_sim_grover_work_guard(capsys):
     assert code == 4
     assert out == ""
     assert "amplitude updates" in err
+    # an iteration updates only the M marked amplitudes and one scalar, so
+    # 1,025 iterations at the 2^20-item limit are admitted
+    code, out, _ = run_cli(capsys, "sim-grover", "--items", str(1 << 20),
+                           "--marked", "5", "--iterations", "1025")
+    assert code == 0
+    assert json.loads(out)["oracle_queries"] == 1025
 
 
 def test_sim_clawwalk_collapsed(capsys):

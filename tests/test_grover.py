@@ -7,7 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 from clawbench.claw import CapacityError
 from clawbench.grover import (STATEVECTOR_LIMIT,
                               STATEVECTOR_WORK_LIMIT,
-                              GroverInstance, QueryLedger, check_statevector,
+                              GroverInstance, QueryLedger,
+                              bbht_expected_queries, check_statevector,
                               grover_iterations, grover_run_statevector,
                               grover_sample, grover_success_prob,
                               marked_probability)
@@ -177,14 +178,16 @@ def test_capacity_guard():
 
 def test_statevector_work_guard():
     # the largest benchmark job, 804 iterations at N = 2^20, is allowed;
-    # an iteration counts as at least 2^12 amplitude updates
-    check_statevector(STATEVECTOR_LIMIT, 804)
-    check_statevector(8, STATEVECTOR_WORK_LIMIT >> 12)
-    for n, iterations in ((8, (STATEVECTOR_WORK_LIMIT >> 12) + 1),
-                          (STATEVECTOR_LIMIT, 1025),
-                          (STATEVECTOR_LIMIT + 1, 0)):
+    # an iteration counts as M + 1 amplitude updates, and at least 2^12
+    check_statevector(STATEVECTOR_LIMIT, 804, 4)
+    check_statevector(STATEVECTOR_LIMIT, 1025, 5)
+    check_statevector(8, STATEVECTOR_WORK_LIMIT >> 12, 1)
+    for n, iterations, n_marked in (
+            (8, (STATEVECTOR_WORK_LIMIT >> 12) + 1, 1),
+            (STATEVECTOR_LIMIT, 1025, STATEVECTOR_LIMIT),
+            (STATEVECTOR_LIMIT + 1, 0, 1)):
         with pytest.raises(CapacityError):
-            check_statevector(n, iterations)
+            check_statevector(n, iterations, n_marked)
     # refused before the first iteration runs
     with pytest.raises(CapacityError):
         grover_run_statevector(GroverInstance(8, (1,), 10 ** 9))
@@ -219,7 +222,7 @@ def test_sample_beyond_statevector_guard_uses_closed_form():
 
 def test_sample_draws_from_the_statevector_law():
     # on each grid (several marked items under the single-item iteration
-    # count, as the attack's search stages run it, and every item marked)
+    # count, and every item marked)
     # the draw equals the naive reference seed for seed, and its hit rate
     # over 1,000 seeds is within 5 sigma of the statevector's marked mass
     grids = [(4, (2,), 1), (256, (7,), None), (256, (3, 40, 41, 200), 12),
@@ -332,3 +335,51 @@ def test_draw_at_hit_and_run_boundaries_matches_reference(monkeypatch):
                 idx, _ = grover_sample(None, n, ScriptedRng(u, k), r,
                                        marked=marked)
                 assert idx == (marked if hit else unmarked)[k], (n, m, r, u)
+
+
+def bbht_schedule_costs(n, m, runs, rng):
+    """Queries of independent runs of BBHT's schedule: rounds of j uniform
+    in [0, ceil(s)) iterations, each measuring a marked item with
+    grover_success_prob, with s growing by 6/5 up to sqrt(N)."""
+    s = 1.0
+    queries = np.zeros(runs, dtype=np.int64)
+    searching = np.ones(runs, dtype=bool)
+    while searching.any():
+        p_hit = np.array([grover_success_prob(n, m, j)
+                          for j in range(math.ceil(s))])
+        j = rng.integers(p_hit.size, size=runs)
+        queries[searching] += j[searching]
+        searching &= rng.random(runs) >= p_hit[j]
+        s = min(1.2 * s, math.sqrt(n))
+    return queries
+
+
+@pytest.mark.parametrize("n", [1 << 8, 1 << 12])
+@pytest.mark.parametrize("m", [1, 2, 4, 32])
+def test_bbht_law_matches_the_schedule(n, m):
+    # 20,000 seeded runs of the schedule agree with the law, which is
+    # their expectation rounded up, within 4 standard errors
+    costs = bbht_schedule_costs(n, m, 20_000, np.random.default_rng(n + m))
+    stderr = costs.std() / math.sqrt(costs.size)
+    law = bbht_expected_queries(n, m)
+    assert law - 1 - 4 * stderr < costs.mean() <= law + 4 * stderr
+
+
+@pytest.mark.parametrize("n", [8, 256, 4096])
+def test_bbht_law_within_its_bound(n):
+    # BBHT's 9/2 * sqrt(N/M) bound for every M; the law stays within
+    # 1.28 * sqrt(N/M) at these N
+    for m in range(1, n + 1):
+        assert bbht_expected_queries(n, m) <= 4.5 * math.sqrt(n / m), (n, m)
+
+
+def test_bbht_law_edges():
+    for n in (1, 8, 256, 1 << 16):
+        assert bbht_expected_queries(n, 0) == math.ceil(4.5 * math.sqrt(n))
+        assert bbht_expected_queries(n, n) == 0
+    for n, m in ((1 << 16, 2), (1 << 16, 32), (1 << 16, 4), (8, 3)):
+        assert type(bbht_expected_queries(n, m)) is int
+    assert bbht_expected_queries(1 << 16, 4) == 174
+    for m in (-1, 9):
+        with pytest.raises(ValueError, match="marked count"):
+            bbht_expected_queries(8, m)
