@@ -21,10 +21,10 @@ F_r(y) ^ F_r(y ^ d) == t at y = k ^ e, with e and t from one scalar
 cipher.partial_decrypt per ciphertext.  It costs one XOR-shifted gather
 over the domain, since F_r over the domain in order is its table, and
 decrypts no array.  The K5 and K4 sweeps, resolve's K1 sweep and both
-claw sides take that form: the f side (diff_f) is a derivative of F_3 at
-y = K2' ^ L1 of pair 1, the g side (diff_g) one of F_5 at y = K6 ^ e1,
-and build_claw_problem tabulates each side in its y coordinates, with
-the XOR origin the claw censuses undo.
+claw sides take that form: the f side is a derivative of F_3 at
+y = K2' ^ L1 of pair 1, the g side one of F_5 at y = K6 ^ e1, and
+build_claw_problem, the one definition of both sides, tabulates each in
+its y coordinates, with the XOR origin the claw censuses undo.
 
 Each stage's inputs are computed once: one claw census per attack,
 K1 ^ K3 once per claw (K2', K6), one K5 sweep per K6 and one K4 sweep per
@@ -68,17 +68,20 @@ class ChosenPairSet:
         if len(self.pairs) != 3:
             raise PairSetError(
                 f"need exactly 3 rule pairs, got {len(self.pairs)}")
-        check_word(self.constant_c, spec.word_width)
-        seen = set()
+        extra = () if self.extra_pair is None else (self.extra_pair,)
+        blocks = [block for pair in (*self.pairs, *extra) for block in pair]
+        try:
+            for word in (self.constant_c, *(w for b in blocks for w in b)):
+                check_word(word, spec.word_width)
+        except ValueError as exc:
+            raise PairSetError(str(exc)) from None
+        if len({l1 for (l1, _), _ct in self.pairs}) < 3:
+            raise PairSetError("rule pairs must have distinct L1 values")
         for (l1, r1), _ct in self.pairs:
             if spec.round_f(1, l1) ^ r1 != self.constant_c:
                 raise PairSetError(f"pair with L1={l1:#x} violates the "
                                    "plaintext selection rule")
-            if l1 in seen:
-                raise PairSetError("rule pairs must have distinct L1 values")
-            seen.add(l1)
-        if self.extra_pair is not None:
-            (l1, r1), _ct = self.extra_pair
+        for (l1, r1), _ct in extra:
             if spec.round_f(1, l1) ^ r1 == self.constant_c:
                 raise PairSetError("extra pair must violate the selection rule")
 
@@ -190,43 +193,13 @@ def _pair_sweep(known, want, pair_set, spec):
         [(e1 ^ e, w ^ l1 ^ l) for (l, e), w in zip(rest, want)], spec)
 
 
-def _plaintext_left_diff(pair_set, pair_idx):
-    return pair_set.pairs[0][0][0] ^ pair_set.pairs[pair_idx - 1][0][0]
-
-
-def diff_f(x, pair_set, pair_idx, spec):
-    """Encryption-direction matching difference F_3(L1^(1)^x) ^ F_3(L1^(p)^x);
-    equals the round-4 left difference when x is the true K2'."""
-    if pair_idx not in (2, 3):
-        raise ValueError("pair_idx must be 2 or 3")
-    l1a = pair_set.pairs[0][0][0]
-    l1b = pair_set.pairs[pair_idx - 1][0][0]
-    diff = spec.round_f(3, l1a ^ x)
-    diff ^= spec.round_f(3, l1b ^ x)
-    return diff
-
-
-def diff_g(x, pair_set, pair_idx, spec):
-    """Decryption-direction matching difference: the pair-1/pair-p
-    difference of the round-5 right halves peeled with K6 = x and K5 = 0,
-    l1 ^ lp ^ F_5(e1 ^ x) ^ F_5(ep ^ x) by the peel lemma; equals the
-    round-4 left difference when x is the true K6."""
-    if pair_idx not in (2, 3):
-        raise ValueError("pair_idx must be 2 or 3")
-    (l1, e1), (lp, ep) = (_peel_terms(pair_set.pairs[i][1], (), spec)
-                          for i in (0, pair_idx - 1))
-    diff = spec.round_f(5, x ^ e1)
-    diff ^= spec.round_f(5, x ^ ep)
-    diff ^= l1 ^ lp
-    return diff
-
-
 def build_claw_problem(pair_set, spec):
-    """Two-equation claw problem whose expected claw is (K2', K6), built
-    in the derivative coordinates y = x ^ L1^(1) (f side) and z = x ^ e1
-    (g side): there diff_f is F_3(y) ^ F_3(y ^ L1^(1) ^ L1^(p)) and diff_g
-    is l1 ^ lp ^ F_5(z) ^ F_5(z ^ e1 ^ ep), each one derivative of a round
-    table.  The problem's origins map its claws back to (K2', K6)."""
+    """Two-equation claw problem whose expected claw is (K2', K6): for
+    p = 2, 3 the pair-1/pair-p difference of L4, encrypted forward with
+    K2' = x (f side) or decrypted back as R5 with K6 = x (g side).  At
+    y = x ^ L1^(1) and z = x ^ e1 they are F_3(y) ^ F_3(y ^ L1^(1) ^ L1^(p))
+    and, by the peel lemma, l1 ^ lp ^ F_5(z) ^ F_5(z ^ e1 ^ ep), each one
+    derivative of a round table; the origins map claws back to (K2', K6)."""
     l1a, *l1bs = (pt[0] for pt, _ in pair_set.pairs)
     (l1, e1), *rest = (_peel_terms(ct, (), spec) for _, ct in pair_set.pairs)
     f_family = tuple(functools.partial(_derivative, 3, d=l1a ^ l1b, spec=spec)
@@ -264,26 +237,22 @@ class QueryStats:
     walk_success_prob: float | None = None
 
 
-def _search_candidates(stage, survivors, spec, backend, stats):
-    """Candidate key values for one Grover-style stage, and the stage's
-    report figure: N under the exhaustive backend, else its quantum
-    queries.
+def _charge_sweep(stage, n_survivors, spec, backend, stats):
+    """Charge one full key sweep of stage to stats and return the stage's
+    report figure: N under the exhaustive backend, else its queries.
 
-    survivors is the stage's full sweep, the ascending array of keys that
-    pass its predicate, and is returned as the candidates for both
-    backends so the downstream pipeline is backend-independent.  The
-    grover backend's queries are grover.bbht_expected_queries(N, M) for
-    the M survivors: what an attacker who does not know M expects to pay
-    to find one of them.  The call is charged to stats under stage: the
-    one vectorised sweep's N classical evaluations, plus the queries.
-    """
+    Every sweep costs N classical evaluations; the grover backend adds
+    grover.bbht_expected_queries(N, M) for the sweep's M = n_survivors
+    survivors, what an attacker who does not know M expects to pay to
+    find one of them.  The survivors are the candidates under both
+    backends, so only the charge depends on the backend."""
     n = 1 << spec.word_width
     queries = (0 if backend == "exhaustive"
-               else grover.bbht_expected_queries(n, survivors.size))
+               else grover.bbht_expected_queries(n, n_survivors))
     for totals, count in ((stats.grover_queries, queries),
                           (stats.classical_evals, n)):
         totals[stage] = totals.get(stage, 0) + count
-    return survivors, n if backend == "exhaustive" else queries
+    return n if backend == "exhaustive" else queries
 
 
 @dataclass
@@ -291,7 +260,8 @@ class RecoveredKeys:
     subkeys: tuple
     k2_prime: int
     k1_xor_k3: int
-    uniqueness: str         # "unique" | "equivalence-family"
+    # "unique" | "extra-pair-ambiguous" | "equivalence-family"
+    uniqueness: str
 
 
 def _verify(pair_set, keys, spec):
@@ -394,10 +364,8 @@ def resolve_k1_k2_k3(c_star, k2_prime, pair_set, spec, k456, backend,
         (l1, r1), ct = pair_set.extra_pair
         a = int(r1 ^ spec.round_f(1, l1))
         r4 = _peel_terms(ct, k456[1:], spec)[1] ^ k456[0]
-        cands, figure = _search_candidates(
-            "resolve-k1",
-            _derivative_sweep(2, c, ((a ^ c, r4 ^ l1 ^ k2_prime),), spec),
-            spec, backend, stats)
+        cands = _derivative_sweep(2, c, ((a ^ c, r4 ^ l1 ^ k2_prime),), spec)
+        figure = _charge_sweep("resolve-k1", cands.size, spec, backend, stats)
         if not cands.size:
             raise AttackError("no K1 satisfies the extra pair; "
                               "upstream keys wrong")
@@ -437,16 +405,17 @@ def run_asr_attack(pair_set, spec, backends="classical", seed=0):
     if not claws:
         raise AttackError("no claw found: malformed pair set, reject")
 
-    l1_diffs = [_plaintext_left_diff(pair_set, p) for p in (2, 3)]
+    l1a, *l1bs = (pt[0] for pt, _ in pair_set.pairs)
+    l1_diffs = [l1a ^ l1b for l1b in l1bs]
     search = backends["search"]
 
     @functools.cache
     def sweep(known):
         """(survivors, figure) of the K5 sweep of (K6,) or K4 of (K5, K6)."""
         stage, want = ("k5", l1_diffs) if len(known) == 1 else ("k4", (0, 0))
-        return _search_candidates(
-            stage, _pair_sweep(known, want, pair_set, spec),
-            spec, search, stats)
+        survivors = _pair_sweep(known, want, pair_set, spec)
+        return survivors, _charge_sweep(stage, survivors.size, spec, search,
+                                        stats)
 
     def hexed(value):
         """word_to_hex over a word or nested lists and tuples of words."""

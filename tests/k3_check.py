@@ -9,7 +9,7 @@ it is kept here to demonstrate exactly that degeneracy.
 
 import numpy as np
 
-from clawbench.attack import _peel_terms, _plaintext_left_diff
+from clawbench.attack import _peel_terms
 
 
 def k3_check_paper(k3, k4, k5, k6, pair_set, pair_idx, spec):
@@ -20,4 +20,5 @@ def k3_check_paper(k3, k4, k5, k6, pair_set, pair_idx, spec):
                                       spec)
                           for i in (0, pair_idx - 1))
     diff = l1 ^ lp ^ spec.round_f(2, e1 ^ k3) ^ spec.round_f(2, ep ^ k3)
-    return bool(np.all(diff == _plaintext_left_diff(pair_set, pair_idx)))
+    l1_diff = pair_set.pairs[0][0][0] ^ pair_set.pairs[pair_idx - 1][0][0]
+    return bool(np.all(diff == l1_diff))

@@ -1,11 +1,12 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from clawbench import attack, vectors, walk
-from clawbench.attack import (AttackError, ChosenPairSet,
-                              QueryStats, build_claw_problem, diff_f, diff_g,
+from clawbench.attack import (AttackError, ChosenPairSet, PairSetError,
+                              QueryStats, build_claw_problem,
                               family_member, k1k3_constant,
                               make_chosen_plaintext, make_pair_set,
                               resolve_k1_k2_k3, run_asr_attack,
@@ -49,33 +50,53 @@ def test_pair_set_validation():
         rule_extra.validate(spec)
 
 
+def out_of_range_pair_sets():
+    """The paper pair set with one word outside 0..2^16 - 1: a rule pair's
+    ciphertext, the extra pair's ciphertext, a negative extra-pair L1."""
+    good = paper_pair_set(with_extra=True)
+    pairs = list(good.pairs)
+    pt, (l, r) = pairs[1]
+    pairs[1] = (pt, (l | 0x10000, r))
+    (l1, r1), (l7, r7) = good.extra_pair
+    yield dataclasses.replace(good, pairs=tuple(pairs))
+    yield dataclasses.replace(good, extra_pair=((l1, r1), (l7, r7 + 0x10000)))
+    yield dataclasses.replace(good, extra_pair=((l1 - 0x10000, r1), (l7, r7)))
+
+
+@pytest.mark.parametrize("bad", list(out_of_range_pair_sets()), ids=[
+    "rule-ciphertext", "extra-ciphertext", "negative-extra-L1"])
+def test_pair_set_words_must_fit_the_width(bad):
+    """A word outside the width is an input error, reported before any
+    round table is read with it: there it would index past the table, or
+    wrap around it when negative."""
+    with pytest.raises(PairSetError, match="does not fit in 16 bits"):
+        bad.validate(vectors.SPEC)
+    with pytest.raises(PairSetError, match="does not fit in 16 bits"):
+        run_asr_attack(bad, vectors.SPEC)
+
+
 def test_true_keys_are_a_claw_on_paper_vectors():
-    spec = vectors.SPEC
-    pair_set = paper_pair_set()
-    for idx in (2, 3):
-        assert (diff_f(vectors.K2_PRIME, pair_set, idx, spec)
-                == diff_g(vectors.SUBKEYS[5], pair_set, idx, spec))
+    problem = build_claw_problem(paper_pair_set(), vectors.SPEC)
+    f_origin, g_origin = problem.origins
+    assert (side_table(problem, 0)[vectors.K2_PRIME ^ f_origin]
+            == side_table(problem, 1)[vectors.SUBKEYS[5] ^ g_origin])
 
 
-def test_diff_g_degenerate_pair_is_zero():
+def test_identical_pairs_give_all_zero_side_tables():
     spec = FeistelSpec(word_width=8)
     keys = random_subkeys(spec, 0)
     pt = make_chosen_plaintext(5, 0x11, spec)
     ct = feistel_encrypt(pt, keys, spec)
-    degenerate = ChosenPairSet(0x11, ((pt, ct), (pt, ct), (pt, ct)))
-    for x in range(256):
-        assert diff_g(x, degenerate, 2, spec) == 0
+    problem = build_claw_problem(ChosenPairSet(0x11, ((pt, ct),) * 3), spec)
+    for side in (0, 1):
+        assert not side_table(problem, side).any(), side
 
 
 @pytest.mark.parametrize("pair_idx", [0, 1, 4])
 def test_difference_checks_take_pairs_2_and_3_only(pair_idx):
-    spec = vectors.SPEC
-    for check in (lambda: diff_f(0, paper_pair_set(), pair_idx, spec),
-                  lambda: diff_g(0, paper_pair_set(), pair_idx, spec),
-                  lambda: k3_check_paper(0, *vectors.SUBKEYS[3:],
-                                         paper_pair_set(), pair_idx, spec)):
-        with pytest.raises(ValueError, match="pair_idx"):
-            check()
+    with pytest.raises(ValueError, match="pair_idx"):
+        k3_check_paper(0, *vectors.SUBKEYS[3:], paper_pair_set(), pair_idx,
+                       vectors.SPEC)
 
 
 def test_claw_soundness_random_instances():
@@ -205,8 +226,9 @@ def k1k3_identity_instances():
 def test_k1k3_constant_is_defined_for_every_claw_and_k5():
     # Round 5 decrypts as R5 = L6 ^ F5(R6) ^ K5: K5 enters every pair's
     # value as a plain XOR and cancels between pairs, and what is left of
-    # the pair-1/pair-p difference is diff_g(K6, p) ^ diff_f(K2', p), zero
-    # for every claw.  So run_asr_attack calls k1k3_constant unguarded.
+    # the pair-1/pair-p difference is the g side at K6 XOR the f side at
+    # K2', zero for every claw.  So run_asr_attack calls k1k3_constant
+    # unguarded.
     for spec, pair_set in k1k3_identity_instances():
         claws, _ = find_claws_sorted(build_claw_problem(pair_set, spec))
         assert claws
@@ -312,6 +334,14 @@ def test_resolve_without_extra_pair_reports_family():
     assert k3 == vectors.K1_XOR_K3
 
 
+def encrypt_rounds(block, keys, spec):
+    """The cipher's rounds 1..len(keys) forward; any key may be an array."""
+    left, right = block
+    for i, k in enumerate(keys, start=1):
+        left, right = right ^ spec.round_f(i, left) ^ k, left
+    return left, right
+
+
 def six_round_survivors(c_star, k2_prime, pair_set, spec, k456):
     """Reference resolve sweep: every K1 whose family member encrypts the
     extra pair through all six rounds."""
@@ -319,9 +349,8 @@ def six_round_survivors(c_star, k2_prime, pair_set, spec, k456):
     xs = np.arange(1 << spec.word_width, dtype=np.uint32)
     c = pair_set.constant_c
     keys = [xs, spec.round_f(2, xs ^ c) ^ k2_prime, xs ^ c_star, *k456]
-    left, right = np.full_like(xs, l1), np.full_like(xs, r1)
-    for i, k in enumerate(keys, start=1):
-        left, right = right ^ spec.round_f(i, left) ^ k, left
+    left, right = encrypt_rounds((np.full_like(xs, l1), np.full_like(xs, r1)),
+                                 keys, spec)
     return [int(x) for x in np.nonzero((left == ct[0]) & (right == ct[1]))[0]]
 
 
@@ -331,7 +360,7 @@ def filtered_tuples(monkeypatch, pair_set, spec):
     survivors of every resolve sweep, keyed by (c*, K2', (K4, K5, K6))."""
     tuples, sweeps, current = [], {}, {}
     constant, pair_filter = attack.k1k3_constant, attack._extra_pair_filter
-    search, resolve = attack._search_candidates, attack.resolve_k1_k2_k3
+    sweep, resolve = attack._derivative_sweep, attack.resolve_k1_k2_k3
 
     def recording_constant(pair_set, k2_prime, *rest):
         current["k2_prime"] = k2_prime
@@ -348,17 +377,17 @@ def filtered_tuples(monkeypatch, pair_set, spec):
         current["resolve"] = (c_star, k2_prime, k456)
         return resolve(c_star, k2_prime, pair_set, spec, k456, *rest)
 
-    def recording_search(stage, *rest):
-        out = search(stage, *rest)
-        if stage == "resolve-k1":
-            sweeps[current.pop("resolve")] = out[0].tolist()
+    def recording_sweep(round_index, *rest):
+        out = sweep(round_index, *rest)
+        if round_index == 2:                # resolve's K1 sweep
+            sweeps[current.pop("resolve")] = out.tolist()
         return out
 
     with monkeypatch.context() as patch:
         patch.setattr(attack, "k1k3_constant", recording_constant)
         patch.setattr(attack, "_extra_pair_filter", recording_filter)
         patch.setattr(attack, "resolve_k1_k2_k3", recording_resolve)
-        patch.setattr(attack, "_search_candidates", recording_search)
+        patch.setattr(attack, "_derivative_sweep", recording_sweep)
         run_asr_attack(pair_set, spec)
     return tuples, sweeps
 
@@ -424,14 +453,14 @@ def simeck_instances():
 
 
 def test_array_tie_break_equals_per_key_reference(monkeypatch):
-    search, resolve = attack._search_candidates, attack.resolve_k1_k2_k3
+    sweep, resolve = attack._derivative_sweep, attack.resolve_k1_k2_k3
     survivors = []
     outcomes = {"unique": 0, "extra-pair-ambiguous": 0}
 
-    def recording_search(stage, *rest):
-        out = search(stage, *rest)
-        if stage == "resolve-k1":
-            survivors.append(out[0].tolist())
+    def recording_sweep(round_index, *rest):
+        out = sweep(round_index, *rest)
+        if round_index == 2:                # resolve's K1 sweep
+            survivors.append(out.tolist())
         return out
 
     def checked_resolve(c_star, k2_prime, pair_set, spec, k456, *rest):
@@ -445,7 +474,7 @@ def test_array_tie_break_equals_per_key_reference(monkeypatch):
             outcomes[uniqueness] += 1
         return out
 
-    monkeypatch.setattr(attack, "_search_candidates", recording_search)
+    monkeypatch.setattr(attack, "_derivative_sweep", recording_sweep)
     monkeypatch.setattr(attack, "resolve_k1_k2_k3", checked_resolve)
     for spec, pair_set in simeck_instances():
         run_asr_attack(pair_set, spec)
@@ -563,17 +592,30 @@ def relabel_instances():
         yield spec, make_pair_set(spec, random_subkeys(spec, seed), seed)
 
 
+def cipher_sides(pair_set, spec):
+    """Both claw sides at every key x, from the cipher and not the peel
+    lemma: for p = 2, 3 the pair-1/pair-p difference of L4 encrypted
+    forward through rounds 1-3 with keys (0, x ^ F_2(C), 0), which make
+    K2' = x (f side), and of R5 = L4 decrypted back through rounds 6 and 5
+    with K6 = x and K5 = 0 (g side)."""
+    xs = np.arange(1 << spec.word_width)
+    k2 = xs ^ spec.round_f(2, pair_set.constant_c)
+    f = [encrypt_rounds(pt, (0, k2, 0), spec)[0] for pt, _ in pair_set.pairs]
+    g = [partial_decrypt(ct, (0,) * 5 + (xs,), spec, 6, 5)[1]
+         for _, ct in pair_set.pairs]
+    return [[side[0] ^ side[p] for p in (1, 2)] for side in (f, g)]
+
+
 def diff_pack(pair_set, spec):
     """Each side's two equations packed at every x, equation 1 high, from
-    the definitions diff_f and diff_g."""
-    xs = np.arange(1 << spec.word_width)
-    return [diff(xs, pair_set, 2, spec).astype(np.uint64) << spec.word_width
-            | diff(xs, pair_set, 3, spec) for diff in (diff_f, diff_g)]
+    the cipher (cipher_sides)."""
+    return [eq2.astype(np.uint64) << spec.word_width | eq3.astype(np.uint64)
+            for eq2, eq3 in cipher_sides(pair_set, spec)]
 
 
 def test_side_tables_are_the_difference_functions_relabelled():
-    """Entry x ^ origin of a side table is the pack of diff_f (f side) or
-    diff_g (g side) at x, for every x."""
+    """Entry x ^ origin of a side table is the pack of the f side's (or
+    the g side's) cipher-derived differences at x, for every x."""
     for spec, pair_set in relabel_instances():
         problem = build_claw_problem(pair_set, spec)
         assert all(problem.origins)
@@ -586,8 +628,8 @@ def test_side_tables_are_the_difference_functions_relabelled():
 
 def test_concat_multi_undoes_the_origins():
     """Criterion 8's property with nonzero origins: the combined function
-    of the attack's problem is the pack of diff_f and diff_g at x, on
-    both halves of its domain."""
+    of the attack's problem is the pack of the cipher-derived f and g
+    sides at x, on both halves of its domain."""
     for spec, pair_set in relabel_instances():
         problem = build_claw_problem(pair_set, spec)
         combined = concat_multi(problem)
@@ -597,8 +639,8 @@ def test_concat_multi_undoes_the_origins():
 
 def test_claw_census_gathers_once_per_equation(monkeypatch):
     """Each claw equation is one derivative of a round table, read with
-    one full-width gather: a census makes 4, where evaluating diff_f and
-    diff_g would make 8."""
+    one full-width gather: a census makes 4, where evaluating each of an
+    equation's two round terms on its own would make 8."""
     round_f = FeistelSpec.round_f
     reads = []
 
@@ -664,15 +706,15 @@ def test_resolve_ledger_adds_every_sweep(monkeypatch):
     verified."""
     spec = FeistelSpec(word_width=8)
     pair_set = make_pair_set(spec, random_subkeys(spec, 13), 13)
-    search = attack._search_candidates
+    charge = attack._charge_sweep
     sweeps = []
 
-    def sweeping_search(stage, *rest):
+    def sweeping_charge(stage, *rest):
         if stage == "resolve-k1":
             sweeps.append(rest)
-        return search(stage, *rest)
+        return charge(stage, *rest)
 
-    monkeypatch.setattr(attack, "_search_candidates", sweeping_search)
+    monkeypatch.setattr(attack, "_charge_sweep", sweeping_charge)
     _, stats, stages = run_asr_attack(pair_set, spec)
     assert len(sweeps) == 9
     assert stats.classical_evals["resolve-k1"] == 9 * 256
@@ -686,45 +728,55 @@ def test_sweep_ledger_adds_up_per_stage(monkeypatch):
     evaluations, and under walk-sim exactly bbht_expected_queries(N, M)
     for its M survivors; the figure it returns is those queries under
     walk-sim and N under classical, and each report stage shows the
-    figure of the sweep of the verifying tuple's inputs."""
+    figure of the sweep of the verifying tuple's inputs.  The survivor
+    count each charge is given is that of the sweep just made."""
     report_names = {"k5": "k5", "k4": "k4", "resolve-k1": "resolve-k1-k2-k3"}
-    search, pair_sweep = attack._search_candidates, attack._pair_sweep
-    resolve = attack.resolve_k1_k2_k3
-    current = {}                # stage -> inputs of its sweep in progress
+    charge, pair_sweep = attack._charge_sweep, attack._pair_sweep
+    sweep, resolve = attack._derivative_sweep, attack.resolve_k1_k2_k3
+    current = {}    # stage -> (inputs, survivor count) of its latest sweep
 
     def recording_pair_sweep(known, *rest):
+        out = pair_sweep(known, *rest)
         stage = "k5" if len(known) == 1 else "k4"
-        current[stage] = tuple(int(k) for k in known)
-        return pair_sweep(known, *rest)
+        current[stage] = (tuple(int(k) for k in known), out.size)
+        return out
 
     def recording_resolve(c_star, k2_prime, pair_set, spec, k456, *rest):
         current["resolve-k1"] = (c_star, k2_prime, *k456)
         return resolve(c_star, k2_prime, pair_set, spec, k456, *rest)
 
+    def recording_sweep(round_index, *rest):
+        out = sweep(round_index, *rest)
+        if round_index == 2:                # resolve's K1 sweep
+            current["resolve-k1"] = (current["resolve-k1"], out.size)
+        return out
+
     monkeypatch.setattr(attack, "_pair_sweep", recording_pair_sweep)
     monkeypatch.setattr(attack, "resolve_k1_k2_k3", recording_resolve)
+    monkeypatch.setattr(attack, "_derivative_sweep", recording_sweep)
     for spec, pair_set in resolve_instances():
         n = 1 << spec.word_width
         for backend in ("classical", "walk-sim"):
             sweeps = {stage: {} for stage in report_names}
 
-            def counting_search(stage, *args):
+            def counting_charge(stage, m, *args):
                 stats = args[-1]
                 before = (stats.grover_queries.get(stage, 0),
                           stats.classical_evals.get(stage, 0))
-                out, figure = search(stage, *args)
+                figure = charge(stage, m, *args)
                 q = stats.grover_queries[stage] - before[0]
                 assert stats.classical_evals[stage] - before[1] == n
                 if backend == "classical":
                     assert (q, figure) == (0, n)
                 else:
-                    assert q == figure == bbht_expected_queries(n, out.size)
-                inputs = current.pop(stage)
+                    assert q == figure == bbht_expected_queries(n, m)
+                inputs, size = current.pop(stage)
+                assert m == size, (spec, stage, inputs)
                 assert inputs not in sweeps[stage], (spec, stage, inputs)
-                sweeps[stage][inputs] = (out.size, figure)
-                return out, figure
+                sweeps[stage][inputs] = (m, figure)
+                return figure
 
-            monkeypatch.setattr(attack, "_search_candidates", counting_search)
+            monkeypatch.setattr(attack, "_charge_sweep", counting_charge)
             recovered, stats, stages = run_asr_attack(pair_set, spec,
                                                       backends=backend)
             k4, k5, k6 = recovered.subkeys[3:]
