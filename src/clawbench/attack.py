@@ -40,10 +40,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import grover
+from . import grover, walk
 from .cipher import feistel_encrypt, partial_decrypt, simeck_f
 from .claw import ClawProblem, find_claws_exhaustive, find_claws_sorted
-from .walk import UniqueClawRequired, claw_walk_sample
 from .words import check_word, domain, mask, word_to_hex
 
 
@@ -278,34 +277,28 @@ BACKEND_PRESETS = {
 }
 
 
-def _claw_candidates(problem, backend, seed, stats):
-    """Stage-1 claw candidates in deterministic order, from one census.
-
-    The exhaustive backend takes the census from the pairwise scan, every
-    other backend from one sort-and-match.  Walk backends sample one claw
-    from that census (collapsed mode falls back to the sorted result when
-    the walk refuses a claw that is not unique); classical backends return
-    the whole claw set so the pipeline can iterate on spurious claws.
-    """
-    stats.classical_evals["claw"] = 2 * problem.n_side
-    if backend == "exhaustive":
-        return find_claws_exhaustive(problem), backend
-    claws, _ = find_claws_sorted(problem)
-    if backend == "sorted":
+def _claw_candidates(problem, backend, stats):
+    """The whole stage-1 claw set, in census order, so the pipeline can
+    iterate on spurious claws: the exhaustive backend's pairwise scan or
+    one sort-and-match, refused when empty.  A walk backend runs the tuned
+    walk once and is charged its expected cost to a first claw (collapsed
+    mode falls back to the sorted census on a claw that is not unique)."""
+    n = problem.n_side
+    stats.classical_evals["claw"] = 2 * n
+    claws = (find_claws_exhaustive(problem) if backend == "exhaustive"
+             else find_claws_sorted(problem)[0])
+    if not claws:
+        raise AttackError("no claw found: malformed pair set, reject")
+    if not backend.startswith("walk-"):
         return claws, backend
     try:
-        result = claw_walk_sample(problem, seed=seed,
-                                  mode=backend.removeprefix("walk-"),
-                                  claws=sorted(claws))
-    except UniqueClawRequired:
+        sim = walk.run_walk(n, walk.walk_params(n, n), claws,
+                            backend.removeprefix("walk-"))
+    except walk.UniqueClawRequired:
         return claws, f"{backend}->sorted (claw not unique)"
-    stats.claw_queries = result.ledger.oracle_queries
-    stats.walk_success_prob = result.success_prob
-    if result.claw is None:
-        # retries exhausted; the remaining claw set is still known
-        return result.all_claws, f"{backend}->exhausted"
-    rest = [c for c in result.all_claws if c != result.claw]
-    return [result.claw] + rest, backend
+    prob = stats.walk_success_prob = sim.success_prob()
+    stats.claw_queries = walk.walk_expected_queries(sim.params, prob)
+    return claws, backend
 
 
 def schedule_consistent(k1, k2, k5, spec):
@@ -387,7 +380,8 @@ def run_asr_attack(pair_set, spec, backends="classical", seed=0):
     and K4, the K1 ^ K3 constant, then (K1, K2, K3) resolution and final
     trial-encryption arbitration.
 
-    backends is a BACKEND_PRESETS name; seed seeds only the claw walk.
+    backends is a BACKEND_PRESETS name; seed is unused, as the attack
+    draws nothing, and stays for callers that pass it (perfbench).
     Returns (RecoveredKeys, QueryStats, stages) where stages is the
     per-stage report list.
     """
@@ -400,10 +394,7 @@ def run_asr_attack(pair_set, spec, backends="classical", seed=0):
     stats = QueryStats()
 
     problem = build_claw_problem(pair_set, spec)
-    claws, claw_backend = _claw_candidates(problem, backends["claw"],
-                                           seed, stats)
-    if not claws:
-        raise AttackError("no claw found: malformed pair set, reject")
+    claws, claw_backend = _claw_candidates(problem, backends["claw"], stats)
 
     l1a, *l1bs = (pt[0] for pt, _ in pair_set.pairs)
     l1_diffs = [l1a ^ l1b for l1b in l1bs]
@@ -461,7 +452,7 @@ def run_asr_attack(pair_set, spec, backends="classical", seed=0):
 
 
 def attack_report(pair_set, spec, recovered, stats, stages, backends):
-    """JSON-ready attack report (deterministic for a fixed config+seed)."""
+    """JSON-ready attack report (deterministic for a fixed configuration)."""
     w = spec.word_width
     pairs = [{"plaintext": [word_to_hex(pt[0], w), word_to_hex(pt[1], w)],
               "ciphertext": [word_to_hex(ct[0], w), word_to_hex(ct[1], w)]}

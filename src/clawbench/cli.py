@@ -5,7 +5,7 @@ line that does not parse, a malformed pair set and an --out path that
 cannot be opened included), 4 capacity guard refusal before anything is
 allocated: --rounds above 4096, walk steps, full-basis walk amplitudes,
 census bits, Grover statevector items or updates.  All runs are
-reproducible from (flags, seed); reports are byte-identical for
+reproducible from their flags; reports are byte-identical for
 identical configurations.
 """
 
@@ -130,8 +130,8 @@ def cmd_attack(args):
     elif args.extra_pair and pair_set.extra_pair is None:
         raise CliInputError("--extra-pair: the pair file has no extra pair")
     try:
-        recovered, stats, stages = run_asr_attack(
-            pair_set, spec, backends=args.backend, seed=args.seed)
+        recovered, stats, stages = run_asr_attack(pair_set, spec,
+                                                  backends=args.backend)
     except PairSetError as exc:
         raise CliInputError(f"malformed pair set: {exc}") from None
     except AttackError as exc:
@@ -288,7 +288,6 @@ def build_parser():
     p.add_argument("--extra-pair", action=argparse.BooleanOptionalAction,
                    default=None,
                    help="include one non-rule pair for unique K1 resolution")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_attack)
 

@@ -392,21 +392,40 @@ def tune_outer_reps(n_side, params, max_multiplier=TUNING_SCAN):
     return replace(params, outer_reps=best)
 
 
-def claw_walk_sample(problem, seed, mode="collapsed", params=None,
-                     max_retries=400, tune=True, claws=None):
-    """Simulate the walk once, then measure it until the measured subsets
-    contain a claw.
+def walk_expected_queries(params, success_prob):
+    """Expected oracle queries, rounded up, of Tani's claw walk
+    (arXiv:0708.2584) run with params until a measurement finds a claw:
+    each run costs ledger_law(params), and the run count is geometric
+    with mean 1 / success_prob, which must lie in (0, 1]."""
+    if not 0 < success_prob <= 1:
+        raise ValueError(f"success probability {success_prob} not in (0, 1]")
+    return math.ceil(ledger_law(params) / success_prob)
 
-    Returns a WalkResult whose claw is the sampled pair (or None when
-    retries are exhausted or no claw exists); the ledger accumulates the
-    queries of every attempt.  The sampled claw is classically verified
-    against the claw census: claws, the complete claw set in ascending
-    (x1, x2) order, when the caller has one (the attack hands over its
-    sort-and-match result), else the exhaustive scan's.  The step guard,
-    on the walk and on tuning's scan, and the full-basis guard refuse
-    before the census, and collapsed mode's unique-claw check, which
-    needs the census, before tuning.
-    """
+
+def run_walk(n_side, params, claws, mode, tune=True):
+    """Tune and run the walk once on a known, non-empty claw census, after
+    full mode's basis guard or collapsed mode's unique-claw check."""
+    if mode == "full":
+        check_full_basis(n_side, params.r)
+    elif len(claws) != 1:
+        raise UniqueClawRequired(
+            f"collapsed mode needs a unique claw, found {len(claws)}")
+    if tune:
+        params = tune_outer_reps(n_side, params)
+    sim = (CollapsedWalkSim(n_side, params) if mode == "collapsed"
+           else FullWalkSim(n_side, params, claws))
+    sim.run()
+    return sim
+
+
+def claw_walk_sample(problem, seed, mode="collapsed", params=None,
+                     max_retries=400, tune=True):
+    """run_walk on the exhaustive scan's claw census, then measure its
+    state until the measured subsets contain a claw; the step guard, on
+    the walk and on tuning's scan, and the full-basis guard refuse before
+    the census.  Returns a WalkResult whose claw is the sampled pair (None
+    when no claw exists or all max_retries measurements miss) and whose
+    ledger charges every attempt."""
     if mode not in ("collapsed", "full"):
         raise ValueError(f"unknown mode {mode!r}")
     rng = np.random.default_rng(seed)
@@ -417,23 +436,14 @@ def claw_walk_sample(problem, seed, mode="collapsed", params=None,
         check_walk_steps(_tuning_scan(params))
     if mode == "full":
         check_full_basis(n, params.r)
-    all_claws = find_claws_exhaustive(problem) if claws is None else claws
+    all_claws = find_claws_exhaustive(problem)
     if not all_claws:
-        return WalkResult(0.0, None, QueryLedger(), params, 0.0,
-                          all_claws=[])
-    if mode == "collapsed" and len(all_claws) != 1:
-        raise UniqueClawRequired(
-            f"collapsed mode needs a unique claw, found {len(all_claws)}")
-    if tune:
-        params = tune_outer_reps(n, params)
-    sim = (CollapsedWalkSim(n, params) if mode == "collapsed"
-           else FullWalkSim(n, params, all_claws))
-    prob = sim.run()
-    total = QueryLedger()
+        return WalkResult(0.0, None, QueryLedger(), params, 0.0, all_claws=[])
+    sim = run_walk(n, params, all_claws, mode, tune)
     found, retries = None, 0
     while found is None and retries < max_retries:
         retries += 1
-        total.charge(sim.ledger.oracle_queries)
         found = sim.measure(rng, all_claws)
-    return WalkResult(prob, found, total, params, sim.norm_drift(),
-                      retries=retries, all_claws=all_claws)
+    ledger = QueryLedger(retries * sim.ledger.oracle_queries)
+    return WalkResult(sim.success_prob(), found, ledger, sim.params,
+                      sim.norm_drift(), retries=retries, all_claws=all_claws)

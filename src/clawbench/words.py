@@ -77,7 +77,7 @@ def block_to_hex(block, width):
 
 def hex_to_block(text, width):
     """Parse an 'L|R' hex pair."""
-    parts = text.split("|")
+    parts = text.split("|") if isinstance(text, str) else ()
     if len(parts) != 2:
         raise ValueError(f"block must be 'L|R' hex halves, got {text!r}")
     return hex_to_word(parts[0], width), hex_to_word(parts[1], width)

@@ -238,21 +238,42 @@ def test_k1k3_constant_is_defined_for_every_claw_and_k5():
                 assert k1k3_constant(pair_set, k2p, k5, k6, spec) == c0 ^ k5
 
 
-def test_claw_stage_reports_exhausted_walk_retries(monkeypatch):
+def test_claw_stage_charges_the_walks_expected_cost(monkeypatch):
+    """A unique-claw walk runs once, tuned, and is charged its expected
+    cost to a first success; no measurement is drawn, and the claws keep
+    their census order."""
     spec = FeistelSpec(word_width=8, round_function="random", seed=7)
     keys = random_subkeys(spec, 1)
     pair_set = make_pair_set(spec, keys, 1)
     census, _ = find_claws_sorted(build_claw_problem(pair_set, spec))
     assert len(census) == 1                 # the walk runs: a unique claw
-    monkeypatch.setattr(walk.CollapsedWalkSim, "measure",
-                        lambda self, rng, claws: None)
+
+    def no_draw(*args):
+        raise AssertionError("the attack measured the walk")
+
+    monkeypatch.setattr(walk.CollapsedWalkSim, "measure", no_draw)
     recovered, stats, stages = run_asr_attack(pair_set, spec, "walk-sim")
-    assert stages[0]["backend"] == "walk-collapsed->exhausted"
-    assert stages[0]["result_hex"] == [[f"{a:02X}", f"{b:02X}"]
-                                       for a, b in sorted(census)]
     params = walk.tune_outer_reps(256, walk.walk_params(256, 256))
-    assert stats.claw_queries == 400 * walk.ledger_law(params)
+    sim = walk.CollapsedWalkSim(256, params)
+    assert stats.walk_success_prob == sim.run()
+    assert stats.claw_queries == stages[0]["queries"] == \
+        walk.walk_expected_queries(params, stats.walk_success_prob)
+    assert stages[0]["backend"] == "walk-collapsed"
+    assert stages[0]["result_hex"] == [[f"{a:02X}", f"{b:02X}"]
+                                       for a, b in census]
     assert recovered.subkeys[3:] == keys[3:]
+
+
+def test_walk_full_recovers_what_classical_recovers():
+    """The walk's claws keep the census order, so on these 2-5 claw
+    instances walk-full verifies the same candidate as classical."""
+    for seed in range(50):
+        spec = FeistelSpec(word_width=3, round_function="random", seed=seed)
+        pair_set = make_pair_set(spec, random_subkeys(spec, seed), seed)
+        walked, _, _ = run_asr_attack(pair_set, spec, "walk-full")
+        classical, _, _ = run_asr_attack(pair_set, spec, "classical")
+        assert (walked.subkeys, walked.uniqueness) == \
+            (classical.subkeys, classical.uniqueness), seed
 
 
 def test_family_members_collide_on_rule_plaintexts():
@@ -902,11 +923,11 @@ def test_corrupted_ciphertext_rejected():
 @pytest.mark.parametrize("width, seed, backend", [
     (8, 3, "classical"), (8, 3, "exhaustive"), (8, 3, "walk-sim"),
     (3, 0, "walk-full")])
-def test_claw_free_census_rejected(width, seed, backend):
+def test_claw_free_census_rejected(width, seed, backend, monkeypatch):
     """Flipping one bit of pair 2's ciphertext leaves these random-F
     instances (spec, key and pair seed all equal) without a claw; every
-    backend rejects them at the claw stage, the walks through
-    claw_walk_sample's empty-census return."""
+    backend rejects them at the claw stage, before any walk, and
+    claw_walk_sample returns without tuning or measuring."""
     spec = FeistelSpec(word_width=width, round_function="random", seed=seed)
     pair_set = make_pair_set(spec, random_subkeys(spec, seed), seed)
     pairs = list(pair_set.pairs)
@@ -915,13 +936,17 @@ def test_claw_free_census_rejected(width, seed, backend):
     bad = ChosenPairSet(pair_set.constant_c, tuple(pairs), pair_set.extra_pair)
     problem = build_claw_problem(bad, spec)
     assert find_claws_sorted(problem)[0] == []
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked without a claw")
+
+    monkeypatch.setattr(walk, "run_walk", no_walk)
     with pytest.raises(AttackError, match="no claw found"):
         run_asr_attack(bad, spec, backends=backend)
     if backend.startswith("walk-"):
-        # the walk neither tunes nor measures without a claw
         mode = attack.BACKEND_PRESETS[backend]["claw"].removeprefix("walk-")
-        result = walk.claw_walk_sample(problem, 0, mode, claws=[])
-        assert result.claw is None
+        result = walk.claw_walk_sample(problem, 0, mode)
+        assert result.claw is None and result.all_claws == []
         assert result.retries == result.ledger.oracle_queries == 0
 
 

@@ -200,6 +200,27 @@ def test_attack_malformed_pair_set_is_an_input_error(tmp_path, capsys, pairs,
     assert err.startswith("input error: ") and message in err
 
 
+@pytest.mark.parametrize("pairs, extra", [
+    ([{"plaintext": 5, "ciphertext": "BE3A|8ECF"}] + PAPER_PAIRS[1:], None),
+    (PAPER_PAIRS, {"plaintext": ["1"], "ciphertext": "BEDD|19A8"}),
+], ids=["rule-pair-number", "extra-pair-list"])
+def test_attack_block_that_is_not_a_string_is_an_input_error(
+        tmp_path, capsys, pairs, extra):
+    code, out, err = run_cli(capsys, "attack", "run", "--pairs",
+                             write_pairs(tmp_path, pairs, extra))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("input error: malformed pair file: block must be")
+
+
+def test_attack_takes_no_seed(capsys):
+    # the attack makes no random draw, so there is nothing to seed
+    with pytest.raises(SystemExit) as exc:
+        main(["attack", "run", "--vectors", "paper", "--seed", "1"])
+    assert exc.value.code == 3
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
 def test_attack_instance_sources_are_exclusive(tmp_path, capsys):
     pair_file = write_pairs(tmp_path, PAPER_PAIRS)
     for argv in (("--vectors", "paper", "--pairs", pair_file),

@@ -19,7 +19,8 @@ def run_demo(name, monkeypatch, capsys):
 
 FACTS = {
     "classical_attack.py": ("verified: True", "uniqueness: unique"),
-    "quantum_toy_attack.py": ("backends agree: True",),
+    "quantum_toy_attack.py": ("walk expected oracle queries to a first "
+                              "claw: 5835", "backends agree: True"),
     "reference_vectors.py": ("master key: B0AE C7E9 C3CE E6C3",
                              "rule-constrained plaintexts",
                              "extra non-rule pair:"),

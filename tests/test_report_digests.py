@@ -13,7 +13,9 @@ import json
 
 import pytest
 
-from clawbench.attack import attack_report, make_pair_set, run_asr_attack
+from clawbench import vectors
+from clawbench.attack import (ChosenPairSet, attack_report, make_pair_set,
+                              run_asr_attack)
 from clawbench.cipher import FeistelSpec, random_subkeys
 from clawbench.cli import main
 
@@ -96,7 +98,7 @@ def cli_report(args, out):
 
 
 def api_report(width, seed, backend, random_f):
-    """The JSON text of run_asr_attack(seed=0)'s report on
+    """The JSON text of run_asr_attack's report on
     make_pair_set(spec, random_subkeys(spec, seed), seed), where spec is
     the random round function of spec seed `seed` or else Simeck."""
     spec = (FeistelSpec(word_width=width, round_function="random", seed=seed)
@@ -117,34 +119,36 @@ def test_report_digest(tmp_path, args):
     assert sha256(cli_report(args, tmp_path / "report.json")) == DIGESTS[args]
 
 
-# random round functions, run_asr_attack(seed=0) on
+# random round functions, run_asr_attack on
 # make_pair_set(spec, random_subkeys(spec, s), s): width 3 walk-full has
-# 2-5 claws per instance, so the digest pins the order of the claw census
-# the walk samples from; width 12 walk-sim covers the walk (seeds 0, 2-4)
-# and the not-unique fallback (seed 1); width 16 classical is the
-# benchmark's random16 op kind (one claw on seeds 0, 2, 3 and three on
-# seed 1, every resolve ambiguous between a K1 pair)
+# 2-5 claws per instance, so the digest pins the full walk's expected
+# cost over several marked claws and the census order the later stages
+# take the claws in; width 12 walk-sim covers the collapsed walk's
+# expected cost (seeds 0, 2-4) and the not-unique fallback (seed 1);
+# width 16 classical is the benchmark's random16 op kind (one claw on
+# seeds 0, 2, 3 and three on seed 1, every resolve ambiguous between a
+# K1 pair)
 API_DIGESTS = {
     (3, 0, "walk-full"):
-        "24727e34caf0dc916cf3f04265c8b1a9340775b3bf19be056d3bba49305250f3",
+        "c638520469ef7f5dbe9a454c762196881ffb6e31e56253d9b75e9531d2430a5a",
     (3, 1, "walk-full"):
-        "27e2dffc64520e76cdbff88e714d1795a73353cb036a0525a298a00c21e7973c",
+        "adf65de75e64f603a7a229d517fd0a20c3a59acfdad79adcea44d07a3531a6d1",
     (3, 2, "walk-full"):
-        "efd43064c221e7b54cca807c0a6aed331e8382fb26fc499f8f549d9c0199b6ea",
+        "5de19cb399280537f9cf61f73838bb75a08a1b2d8f84cb59fbee7e3d64d9751e",
     (3, 3, "walk-full"):
-        "7a1613b722c8b100d5a89849ad968a88f2c7336cd40d259bff1a8afb6c46cc63",
+        "fd56bbb97b227ba7681afba245665b8515da43148e37c53838a11e7596eecb1a",
     (3, 4, "walk-full"):
-        "161681cf4c3eaf3557019262887b4051c71f569fe60ac53081bcff99486db154",
+        "aac3c09057c8d8b62bdd3207d7c982448b512ecb0f2f7134735a41a8794b9083",
     (12, 0, "walk-sim"):
-        "797b361add6e3f14e607a94dc7d8e02bbb2b73ea9d791a8c8923c7fadf84f21c",
+        "ecb3b13e2dc989e9d3547b3d18d316d63cd188e0afdd9a31ed710b11affb4469",
     (12, 1, "walk-sim"):
         "adfa681bda620af9a4728858ea1890a07f7ffa5c52e563b39eeaa9b1e1ae0955",
     (12, 2, "walk-sim"):
-        "8678ca01aa3485fd8c11090e1177a731854ae96c375d8a6312d6a1fa6456d524",
+        "a5e3d8de03d59bafe6b634fc5b2055ea48bdc7ec127da3c2082ca5745dfa7924",
     (12, 3, "walk-sim"):
-        "7f4f619a67db7c7ec2f532dd7f51e3b0cd1a329f976e22960d9f47c3e23d7743",
+        "356f5247763bbeec6d96d7efe50fa9741b8ae7f7eb4f59ac90f3ede049f62d0d",
     (12, 4, "walk-sim"):
-        "803b81beb26fbd0fc187bb3a8638663c3a44d77dc5882432c7ec7e93de4ebb14",
+        "64ba572f96c7aa4590fee549b5dffbdbee022c8bed61c320928cb02ee7fb2405",
     (16, 0, "classical"):
         "418ff96e00c49beb2cbfc64fbaf1652fb2fca5d307a8674b22f72dd852af72a1",
     (16, 1, "classical"):
@@ -162,7 +166,7 @@ def test_api_report_digest(width, seed, backend):
     assert sha256(text.encode()) == API_DIGESTS[width, seed, backend]
 
 
-# Simeck w=12 with random_subkeys(spec, s), run_asr_attack(seed=0) on
+# Simeck w=12 with random_subkeys(spec, s), run_asr_attack on
 # walk-sim: the claw stage falls back, so the digests pin the Grover
 # stages' BBHT figures alone
 SIMECK_API_DIGESTS = {
@@ -179,12 +183,32 @@ def test_simeck_api_report_digest(width, seed, backend):
     assert sha256(text.encode()) == SIMECK_API_DIGESTS[width, seed, backend]
 
 
-def test_paper_walk_sim_report_does_not_depend_on_seed(tmp_path):
-    """The claw stage falls back to the sorted census and every Grover
-    stage is charged its expected cost, so no draw reaches the report."""
-    reports = {cli_report(f"--vectors paper --backend walk-sim --seed {seed}",
-                          tmp_path / f"report{seed}.json")
-               for seed in (0, 1, 7)}
+@pytest.mark.parametrize("random_f", [False, True],
+                         ids=["paper", "random-f-w12-0"])
+def test_walk_sim_report_does_not_depend_on_seed(random_f):
+    """The attack makes no random draw: on the paper vectors the claw
+    stage falls back to the sorted census, on random F w=12 (spec seed 0,
+    one claw) the walk runs and is charged its expected cost, and every
+    Grover stage is charged its expected cost."""
+    if random_f:
+        spec = FeistelSpec(word_width=12, round_function="random", seed=0)
+        pair_set = make_pair_set(spec, random_subkeys(spec, 0), 0)
+    else:
+        spec = vectors.SPEC
+        pair_set = ChosenPairSet(vectors.CONSTANT_C,
+                                 tuple(zip(vectors.PLAINTEXTS,
+                                           vectors.CIPHERTEXTS)),
+                                 vectors.EXTRA_PAIR)
+    reports = set()
+    for seed in (0, 1, 7):
+        recovered, stats, stages = run_asr_attack(pair_set, spec,
+                                                  "walk-sim", seed=seed)
+        reports.add(json.dumps(attack_report(pair_set, spec, recovered,
+                                             stats, stages, "walk-sim"),
+                               sort_keys=True))
+        assert stages[0]["backend"] == ("walk-collapsed" if random_f else
+                                        "walk-collapsed->sorted "
+                                        "(claw not unique)")
     assert len(reports) == 1
 
 

@@ -13,7 +13,8 @@ from clawbench.cli import planted_claw_problem
 from clawbench.walk import (CollapsedWalkSim, FullWalkSim, UniqueClawRequired,
                             WalkParams, _collapsed_step_matrix, _reflect,
                             _side_operators, choice_cdf, claw_walk_sample,
-                            ledger_law, tune_outer_reps, walk_params)
+                            ledger_law, tune_outer_reps,
+                            walk_expected_queries, walk_params)
 
 
 def test_walk_params_balanced():
@@ -386,6 +387,31 @@ def test_claw_walk_sample_finds_planted_claw():
     # the ledger charges every attempt
     per_run = ledger_law(result.params)
     assert result.ledger.oracle_queries == result.retries * per_run
+
+
+def test_sampled_walk_cost_averages_to_the_expected_cost():
+    """claw_walk_sample's charge is retries x ledger_law, and the retries
+    are geometric with mean 1 / success_prob: over many seeds its mean
+    lies within four standard errors of walk_expected_queries."""
+    problem, planted = planted_claw_problem(4, seed=0)
+    results = [claw_walk_sample(problem, seed=s) for s in range(2000)]
+    assert all(r.claw == planted for r in results)
+    p, per_run = results[0].success_prob, ledger_law(results[0].params)
+    mean = np.mean([r.ledger.oracle_queries for r in results])
+    std_error = per_run * np.sqrt(1 - p) / p / np.sqrt(len(results))
+    assert abs(mean - walk_expected_queries(results[0].params, p)) \
+        <= 4 * std_error
+
+
+def test_walk_expected_queries_is_the_geometric_mean_cost():
+    params = walk_params(16, 16)
+    assert walk_expected_queries(params, 1.0) == ledger_law(params)
+    assert walk_expected_queries(params, 0.25) == 4 * ledger_law(params)
+    assert walk_expected_queries(params, 0.3) == \
+        -(-ledger_law(params) * 10 // 3)
+    for prob in (0.0, -0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="success probability"):
+            walk_expected_queries(params, prob)
 
 
 @pytest.mark.parametrize("mode", ["collapsed", "full"])
