@@ -15,10 +15,12 @@ Two exact simulators are provided:
   consecutive groups and the two queries are index permutations, so a
   step costs O(dim^2) on the dim x dim state.  The side being stepped is
   kept on axis 0, so its groups and gathers are contiguous rows, and a
-  side switch is one transposing copy.  The phase flip and the
-  diffusions work in place, and each query and each switch is one new
-  state, so a run holds about two states at its peak.  Exponential,
-  guarded.
+  side switch is one transposing copy.  A diffusion sums its groups in
+  one reduction, and the phase flip negates the stored array through the
+  mark in the same layout.  Both work in place, and each query and each
+  switch is one new state, so a run holds about two states at its peak.
+  The basis and the two query gathers are built once per (N, r) and
+  shared.  Exponential, guarded.
 * CollapsedWalkSim tracks only the three per-side symmetry classes of a
   unique planted claw index j: A (j in S), B (j not in S, z == j),
   C (j not in S, z != j).  The walk dynamics close on class-uniform
@@ -31,6 +33,7 @@ All amplitudes stay real throughout (real initial state, real operators),
 so states are stored as float64 vectors.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -139,8 +142,11 @@ def check_full_basis(n_side, r):
     check_capacity("full walk amplitudes", dim * dim, FULL_BASIS_GUARD)
 
 
+@functools.cache
 def _side_operators(n_side, r):
-    """One side's basis and the two queries of a walk step as gathers.
+    """One side's basis and the two queries of a walk step as gathers,
+    built once per (N, r) and shared: the basis is a tuple and the two
+    gathers are read-only.
 
     Basis: (S, z) with |S| = r, z outside S, ordered by S and then z.
     The intermediate basis (S', z) with |S'| = r + 1, z in S', is ordered
@@ -149,29 +155,32 @@ def _side_operators(n_side, r):
     the intermediate basis, (S, z) -> (S + {z}, z), and remove maps it
     back, (S', z) -> (S' - {z}, z), so the two are inverse permutations.
     """
-    basis = [(s, z) for s in itertools.combinations(range(n_side), r)
-             for z in range(n_side) if z not in s]
+    basis = tuple((s, z) for s in itertools.combinations(range(n_side), r)
+                  for z in range(n_side) if z not in s)
     index = {b: i for i, b in enumerate(basis)}
     insert = np.array([index[tuple(x for x in s if x != z), z]
                        for s in itertools.combinations(range(n_side), r + 1)
                        for z in s])
-    return basis, insert, np.argsort(insert)
+    remove = np.argsort(insert)
+    insert.flags.writeable = remove.flags.writeable = False
+    return basis, insert, remove
 
 
 def _reflect(state, k):
     """Diffusion 2 mean - x over consecutive groups of k rows, in place:
     the reflection about the uniform superposition of each group.
 
-    state must be C-contiguous, so the grouped reshape is a view.  The
-    group sums add the k rows one after another, the order numpy's mean
-    takes along a non-contiguous axis, so the result is bit-identical to
-    2 * mean - groups.  The one temporary is the group means, 1/k of the
-    state.
+    state must be 2-D and C-contiguous, so the grouped reshape is a view
+    whose group axis is not the innermost.  numpy reduces such an axis by
+    adding whole rows one after another (pairwise summation applies only
+    along the innermost axis), so the one np.add.reduce keeps the
+    sequential order for every k and the result is bit-identical to
+    2 * mean - groups.  (The reduction starts from +0.0, so a group of
+    -0.0 sums to +0.0; its reflected entries are +0.0 either way.)  The
+    one temporary is the group means, 1/k of the state.
     """
-    groups = state.reshape(-1, k, *state.shape[1:])
-    twice_mean = groups[:, 0].copy()
-    for i in range(1, k):
-        twice_mean += groups[:, i]
+    groups = state.reshape(-1, k, state.shape[1])
+    twice_mean = np.add.reduce(groups, axis=1)
     twice_mean /= k
     twice_mean *= 2
     np.subtract(twice_mean[:, None], groups, out=groups)
@@ -215,8 +224,10 @@ class FullWalkSim(_WalkSim):
             self.mark |= np.outer(in1, in2)
 
     def phase_flip(self):
-        state = self.state
-        np.negative(state, out=state, where=self.mark)
+        """Negate the marked amplitudes in the stored layout: through the
+        mark while side 1 is on axis 0, else through its transposed view."""
+        mark = self.mark if self._rows == 1 else self.mark.T
+        np.negative(self._amps, out=self._amps, where=mark)
         self._cdf = None
         self.norm_log.append(self.norm())
 
@@ -232,6 +243,8 @@ class FullWalkSim(_WalkSim):
         live.  fine=True logs the norm after each sub-operator,
         fine=False once per step; the state is the same.
         """
+        if side not in (1, 2):
+            raise ValueError(f"side must be 1 or 2, got {side!r}")
         if side != self._rows:
             self._amps, self._rows = np.ascontiguousarray(self._amps.T), side
         r = self.params.r

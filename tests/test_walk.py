@@ -107,6 +107,15 @@ def test_in_place_reflection_is_bit_identical_to_the_mean(k):
     assert state.tobytes() == want.tobytes()
 
 
+def claw_mark(basis, claws):
+    """The states whose subsets hold at least one of the claws."""
+    mark = np.zeros((len(basis), len(basis)), dtype=bool)
+    for j1, j2 in claws:
+        mark |= np.outer([j1 in s for s, _ in basis],
+                         [j2 in s for s, _ in basis])
+    return mark
+
+
 def axis_reference_walk(n_side, params, claws):
     """The full walk with side 1 on axis 0 throughout: each side's
     sub-operators act along that side's own axis, side 2's along the
@@ -114,10 +123,7 @@ def axis_reference_walk(n_side, params, claws):
     and the claw mark."""
     r = params.r
     basis, insert, remove = _side_operators(n_side, r)
-    mark = np.zeros((len(basis), len(basis)), dtype=bool)
-    for j1, j2 in claws:
-        mark |= np.outer([j1 in s for s, _ in basis],
-                         [j2 in s for s, _ in basis])
+    mark = claw_mark(basis, claws)
     state = np.full(mark.shape, 1 / len(basis))
     for _ in range(params.outer_reps):
         state = np.where(mark, -state, state)
@@ -164,6 +170,118 @@ def test_full_walk_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * sim.state.nbytes, peak / sim.state.nbytes
+
+
+def sequential_reflect(state, k):
+    """A group's sum as a copy of its first row plus k - 1 in-place adds,
+    then 2 mean - x in place."""
+    groups = state.reshape(-1, k, state.shape[1])
+    twice_mean = groups[:, 0].copy()
+    for i in range(1, k):
+        twice_mean += groups[:, i]
+    twice_mean /= k
+    twice_mean *= 2
+    np.subtract(twice_mean[:, None], groups, out=groups)
+
+
+def stored_layout_reference_walk(n_side, params, claws, fine):
+    """The full walk step by step with sequential group sums, the phase
+    flip written through the side-1 view of the stored amplitudes, and
+    the norm of that view logged as FullWalkSim logs it.  Returns the
+    final side-1 view and the norm log."""
+    r = params.r
+    basis, insert, remove = _side_operators(n_side, r)
+    mark = claw_mark(basis, claws)
+    amps, rows = np.full(mark.shape, 1 / len(basis)), 1
+
+    def view():
+        return amps if rows == 1 else amps.T
+
+    norms = [float(np.linalg.norm(view()))]
+    for _ in range(params.outer_reps):
+        state = view()
+        np.negative(state, out=state, where=mark)
+        norms.append(float(np.linalg.norm(view())))
+        for side in [1] * params.t1 + [2] * params.t2:
+            if side != rows:
+                amps, rows = np.ascontiguousarray(amps.T), side
+            for k, query in ((n_side - r, insert), (r + 1, remove)):
+                sequential_reflect(amps, k)
+                if fine:
+                    norms.append(float(np.linalg.norm(view())))
+                amps = amps.take(query, 0)
+                if fine:
+                    norms.append(float(np.linalg.norm(view())))
+            if not fine:
+                norms.append(float(np.linalg.norm(view())))
+    return view(), norms
+
+
+@pytest.mark.parametrize("n_claws", (1, 2, 3))
+@pytest.mark.parametrize("n_side", range(4, 11))
+def test_full_walk_is_bit_identical_to_the_stored_layout_reference(
+        n_side, n_claws):
+    """One reduction per reflection and the phase flip on the stored
+    array leave every amplitude, the success probability and every
+    norm_log entry as the step-by-step reference computes them."""
+    params = walk_params(n_side, n_side)
+    rng = np.random.default_rng([n_side, n_claws])
+    claws = [tuple(int(v) for v in rng.integers(0, n_side, size=2))
+             for _ in range(n_claws)]
+    for fine in (True, False):
+        want, want_norms = stored_layout_reference_walk(n_side, params,
+                                                        claws, fine)
+        sim = FullWalkSim(n_side, params, claws)
+        prob = sim.run(fine)
+        assert sim.state.tobytes() == want.tobytes()
+        assert sim.norm_log == want_norms
+        assert repr(prob) == repr(float((want[sim.mark] ** 2).sum()))
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_reflection_of_signed_zero_groups(k):
+    """np.add.reduce starts a sum from +0.0 where the copied first row
+    keeps -0.0, so an all-(-0.0) group's mean differs in sign only; its
+    reflected entries are +0.0 either way."""
+    rng = np.random.default_rng(k)
+    state = rng.standard_normal((4 * k, 5))
+    state[:k] = -0.0
+    state[k:2 * k, :2] = -0.0
+    state[2 * k, :] = 0.0
+    want = state.copy()
+    sequential_reflect(want, k)
+    _reflect(state, k)
+    assert state.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("side", (0, 3, -1))
+def test_walk_step_refuses_a_side_other_than_1_or_2(side):
+    sim = FullWalkSim(6, walk_params(6, 6), claws=[(1, 2)])
+    sim.walk_step(2)
+    before, queries = sim.state.tobytes(), sim.ledger.oracle_queries
+    norms = list(sim.norm_log)
+    with pytest.raises(ValueError, match="side must be 1 or 2"):
+        sim.walk_step(side)
+    assert sim.state.tobytes() == before
+    assert sim.ledger.oracle_queries == queries
+    assert sim.norm_log == norms
+    # the refused call left the layout as it was
+    sim.walk_step(1)
+    other = FullWalkSim(6, walk_params(6, 6), claws=[(1, 2)])
+    other.walk_step(2)
+    other.walk_step(1)
+    assert sim.state.tobytes() == other.state.tobytes()
+
+
+def test_side_operators_are_built_once_and_read_only():
+    a = FullWalkSim(7, walk_params(7, 7), claws=[(0, 1)])
+    b = FullWalkSim(7, walk_params(7, 7), claws=[(2, 3), (4, 4)])
+    assert a.basis is b.basis and isinstance(a.basis, tuple)
+    assert a.insert is b.insert and a.remove is b.remove
+    for query in (a.insert, a.remove):
+        with pytest.raises(ValueError, match="read-only"):
+            query[0] = 0
+    assert _side_operators(7, 3) is not _side_operators(7, 4)
 
 
 def test_full_measure_draws_what_rng_choice_draws(monkeypatch):
