@@ -1,12 +1,12 @@
 """Command-line surface.
 
-Exit codes: 0 success, 2 failed verification, 3 input error (a command
-line that does not parse, a malformed pair set and an --out path that
-cannot be opened included), 4 capacity guard refusal before anything is
-allocated: --rounds above 4096, walk steps, full-basis walk amplitudes,
-census bits, Grover statevector items or updates.  All runs are
-reproducible from their flags; reports are byte-identical for
-identical configurations.
+Exit codes: 0 success, 2 failed verification (a sim-clawwalk census
+other than its planted claw included), 3 input error (a command line that
+does not parse, a malformed pair set and an --out path that cannot be
+opened included), 4 capacity guard refusal before anything is allocated:
+--rounds above 4096, walk steps, full-basis walk amplitudes, census bits,
+Grover statevector items or updates.  All runs are reproducible from
+their flags; reports are byte-identical for identical configurations.
 """
 
 import argparse
@@ -22,10 +22,11 @@ from .attack import (AttackError, BACKEND_PRESETS, ChosenPairSet, PairSetError,
 from .cipher import (FeistelSpec, feistel_decrypt, feistel_encrypt,
                      key_schedule_report, random_subkeys,
                      simeck_key_schedule)
-from .claw import CapacityError, ClawProblem, check_exhaustive_bits
+from .claw import (CapacityError, ClawProblem, check_exhaustive_bits,
+                   find_claws_exhaustive)
 from .grover import (GroverInstance, grover_success_prob, marked_probability)
 from .walk import (CollapsedWalkSim, FullWalkSim, check_walk_steps,
-                   claw_walk_sample, ledger_law, walk_params)
+                   ledger_law, run_walk, walk_expected_queries, walk_params)
 from .words import block_to_hex, hex_to_block, hex_to_word, word_to_hex
 
 EXIT_OK = 0
@@ -176,25 +177,26 @@ def planted_claw_problem(bits, seed):
 
 
 def cmd_sim_clawwalk(args):
-    # the walk's claw census is the exhaustive scan: refuse before the
+    # the claw census is the exhaustive scan: refuse before the
     # 2^bits-entry tables are built
     check_exhaustive_bits(args.bits)
     problem, planted = planted_claw_problem(args.bits, args.seed)
-    params = walk_params(problem.n_side, problem.n_side, args.multiplier)
-    result = claw_walk_sample(problem, seed=args.seed, mode=args.mode,
-                              params=params, tune=args.tune)
+    n = problem.n_side
+    sim = run_walk(n, walk_params(n, n, args.multiplier), [planted],
+                   args.mode, args.tune)
+    prob = sim.success_prob()
     _emit(args, {
         "bits": args.bits,
         "mode": args.mode,
-        "params": dataclasses.asdict(result.params),
+        "params": dataclasses.asdict(sim.params),
         "planted_claw": list(planted),
-        "sampled_claw": list(result.claw) if result.claw else None,
-        "success_prob": result.success_prob,
-        "oracle_queries": result.ledger.oracle_queries,
-        "retries": result.retries,
-        "norm_drift": result.norm_drift,
+        "success_prob": prob,
+        "oracle_queries": sim.ledger.oracle_queries,
+        "expected_queries": walk_expected_queries(sim.params, prob),
+        "norm_drift": sim.norm_drift(),
     })
-    return EXIT_OK if result.claw == planted else EXIT_VERIFICATION
+    return (EXIT_OK if find_claws_exhaustive(problem) == [planted]
+            else EXIT_VERIFICATION)
 
 
 def cmd_scaling(args):

@@ -29,6 +29,9 @@ Two exact simulators are provided:
   the t-th power of its step matrix, so a collapsed run logs one norm
   per outer repetition.
 
+Neither simulator measures: run_walk runs one walk, and
+walk_expected_queries is its expected cost to a first claw.
+
 All amplitudes stay real throughout (real initial state, real operators),
 so states are stored as float64 vectors.
 """
@@ -50,7 +53,7 @@ TUNING_SCAN = 3
 
 
 class UniqueClawRequired(RuntimeError):
-    """Collapsed mode needs exactly one claw; fall back to full or classical."""
+    """Collapsed mode, and claw_walk_sample in either mode, needs one claw."""
 
 
 @dataclass(frozen=True)
@@ -194,7 +197,6 @@ class FullWalkSim(_WalkSim):
     whose subsets contain at least one claw pair.
     """
 
-    _cdf = None     # measurement CDF of the current state, once measured
     _rows = 1       # the side on axis 0 of the stored amplitudes
 
     @property
@@ -228,7 +230,6 @@ class FullWalkSim(_WalkSim):
         mark while side 1 is on axis 0, else through its transposed view."""
         mark = self.mark if self._rows == 1 else self.mark.T
         np.negative(self._amps, out=self._amps, where=mark)
-        self._cdf = None
         self.norm_log.append(self.norm())
 
     def walk_step(self, side, fine=True):
@@ -258,7 +259,6 @@ class FullWalkSim(_WalkSim):
                 self.norm_log.append(self.norm())
         if not fine:
             self.norm_log.append(self.norm())
-        self._cdf = None
         self.ledger.charge(2)
 
     def run(self, fine=True):
@@ -273,31 +273,6 @@ class FullWalkSim(_WalkSim):
 
     def success_prob(self):
         return float((self.state[self.mark] ** 2).sum())
-
-    def measure(self, rng, claws):
-        """Measure (S1, z1, S2, z2); returns the first of claws inside the
-        measured subsets S1, S2, or None.
-
-        Each draw is one uniform searched in the state's CDF, the index
-        rng.choice would return; the CDF is built once per state, so
-        repeated measurements of one run share it.
-        """
-        if self._cdf is None:
-            self._cdf = choice_cdf(np.square(self.state, order="C").ravel())
-        pick = int(self._cdf.searchsorted(rng.random(), side="right"))
-        d = len(self.basis)
-        s1, s2 = self.basis[pick // d][0], self.basis[pick % d][0]
-        return next(((a, b) for a, b in claws if a in s1 and b in s2), None)
-
-
-def choice_cdf(weights):
-    """The CDF rng.choice(weights.size, p=weights / weights.sum()) draws
-    from, built in place in the float64 array weights: choice's uniform u
-    picks index cdf.searchsorted(u, side="right")."""
-    weights /= weights.sum()
-    cdf = np.cumsum(weights, out=weights)
-    cdf /= cdf[-1]
-    return cdf
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +331,6 @@ class CollapsedWalkSim(_WalkSim):
     def success_prob(self):
         return float(self.state[0, 0] ** 2)
 
-    def measure(self, rng, claws):
-        """The unique claw with the success probability, else None."""
-        return claws[0] if rng.random() < self.success_prob() else None
-
 
 # ---------------------------------------------------------------------------
 # driver
@@ -415,12 +386,23 @@ def walk_expected_queries(params, success_prob):
     return math.ceil(ledger_law(params) / success_prob)
 
 
-def run_walk(n_side, params, claws, mode, tune=True):
-    """Tune and run the walk once on a known, non-empty claw census, after
-    full mode's basis guard or collapsed mode's unique-claw check."""
+def check_walk(n_side, params, mode, tune):
+    """Refuse before anything is built: an unknown mode, a walk or (with
+    tune) tuning's scan over the step guard, a full basis over its guard."""
+    if mode not in ("collapsed", "full"):
+        raise ValueError(f"unknown mode {mode!r}")
+    check_walk_steps(params)
+    if tune:
+        check_walk_steps(_tuning_scan(params))
     if mode == "full":
         check_full_basis(n_side, params.r)
-    elif len(claws) != 1:
+
+
+def run_walk(n_side, params, claws, mode, tune=True):
+    """Tune and run the walk once on a known, non-empty claw census, after
+    check_walk and collapsed mode's unique-claw check."""
+    check_walk(n_side, params, mode, tune)
+    if mode == "collapsed" and len(claws) != 1:
         raise UniqueClawRequired(
             f"collapsed mode needs a unique claw, found {len(claws)}")
     if tune:
@@ -433,30 +415,30 @@ def run_walk(n_side, params, claws, mode, tune=True):
 
 def claw_walk_sample(problem, seed, mode="collapsed", params=None,
                      max_retries=400, tune=True):
-    """run_walk on the exhaustive scan's claw census, then measure its
-    state until the measured subsets contain a claw; the step guard, on
-    the walk and on tuning's scan, and the full-basis guard refuse before
-    the census.  Returns a WalkResult whose claw is the sampled pair (None
-    when no claw exists or all max_retries measurements miss) and whose
-    ledger charges every attempt."""
-    if mode not in ("collapsed", "full"):
-        raise ValueError(f"unknown mode {mode!r}")
-    rng = np.random.default_rng(seed)
+    """check_walk, then run_walk on the exhaustive scan's claw census,
+    which must hold at most one claw, then draw measurements of that one
+    state until one finds the claw.  A measured state is marked exactly
+    when its subsets hold the claw, so each draw finds it with the run's
+    success probability, in either mode.  Returns a WalkResult whose claw
+    is the sampled pair (None when no claw exists or all max_retries
+    draws miss) and whose ledger charges every attempt."""
     n = problem.n_side
     params = params or walk_params(n, n)
-    check_walk_steps(params)    # first, so a long walk is refused by its count
-    if tune:
-        check_walk_steps(_tuning_scan(params))
-    if mode == "full":
-        check_full_basis(n, params.r)
+    check_walk(n, params, mode, tune)
     all_claws = find_claws_exhaustive(problem)
     if not all_claws:
         return WalkResult(0.0, None, QueryLedger(), params, 0.0, all_claws=[])
+    if len(all_claws) > 1:
+        raise UniqueClawRequired(
+            f"sampling needs a unique claw, found {len(all_claws)}")
     sim = run_walk(n, params, all_claws, mode, tune)
+    p = sim.success_prob()
+    rng = np.random.default_rng(seed)
     found, retries = None, 0
     while found is None and retries < max_retries:
         retries += 1
-        found = sim.measure(rng, all_claws)
+        if rng.random() < p:
+            found = all_claws[0]
     ledger = QueryLedger(retries * sim.ledger.oracle_queries)
-    return WalkResult(sim.success_prob(), found, ledger, sim.params,
-                      sim.norm_drift(), retries=retries, all_claws=all_claws)
+    return WalkResult(p, found, ledger, sim.params, sim.norm_drift(),
+                      retries=retries, all_claws=all_claws)

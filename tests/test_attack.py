@@ -240,8 +240,8 @@ def test_k1k3_constant_is_defined_for_every_claw_and_k5():
 
 def test_claw_stage_charges_the_walks_expected_cost(monkeypatch):
     """A unique-claw walk runs once, tuned, and is charged its expected
-    cost to a first success; no measurement is drawn, and the claws keep
-    their census order."""
+    cost to a first success; no random generator is created, so no
+    measurement is drawn, and the claws keep their census order."""
     spec = FeistelSpec(word_width=8, round_function="random", seed=7)
     keys = random_subkeys(spec, 1)
     pair_set = make_pair_set(spec, keys, 1)
@@ -249,9 +249,9 @@ def test_claw_stage_charges_the_walks_expected_cost(monkeypatch):
     assert len(census) == 1                 # the walk runs: a unique claw
 
     def no_draw(*args):
-        raise AssertionError("the attack measured the walk")
+        raise AssertionError("the attack created a random generator")
 
-    monkeypatch.setattr(walk.CollapsedWalkSim, "measure", no_draw)
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
     recovered, stats, stages = run_asr_attack(pair_set, spec, "walk-sim")
     params = walk.tune_outer_reps(256, walk.walk_params(256, 256))
     sim = walk.CollapsedWalkSim(256, params)

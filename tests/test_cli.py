@@ -1,10 +1,12 @@
+import dataclasses
 import json
 
 import pytest
 
 from clawbench.claw import CapacityError, find_claws_sorted
 from clawbench.cli import main, planted_claw_problem
-from clawbench.walk import check_walk_steps, walk_params
+from clawbench.walk import (WalkParams, check_walk_steps, claw_walk_sample,
+                            ledger_law, walk_expected_queries, walk_params)
 
 
 def run_cli(capsys, *argv):
@@ -314,7 +316,8 @@ def test_sim_clawwalk_collapsed(capsys):
                            "--seed", "0")
     assert code == 0
     report = json.loads(out)
-    assert report["sampled_claw"] == report["planted_claw"]
+    assert report["expected_queries"] == walk_expected_queries(
+        WalkParams(**report["params"]), report["success_prob"])
     assert report["norm_drift"] < 1e-12
 
 
@@ -329,54 +332,67 @@ def test_sim_clawwalk_full_matches_collapsed_success(capsys):
 
 
 # sim-clawwalk --seed 0: (bits, mode, tune), then the reported params as
-# (r, t1, t2, outer_reps), repr(success_prob), oracle_queries, retries and
-# sampled_claw
+# (r, t1, t2, outer_reps) and repr(success_prob); claw_walk_sample's
+# ledger, retries and claw on the same walk at seed 0; and the reported
+# oracle_queries (one run's ledger, ledger_law(params)) and
+# expected_queries.  The tuned 8-bit walk's 5835 is the claw-stage figure
+# quantum_toy_attack.py prints, the same N = 256 walk.
 CLAWWALK_PINS = [
-    (3, "collapsed", True, (4, 2, 2, 6), "0.29729260945773306", 112, 2,
-     [2, 6]),
-    (3, "collapsed", False, (4, 2, 2, 2), "0.04751869838786557", 72, 3,
-     [2, 6]),
-    (3, "full", True, (4, 2, 2, 6), "0.29729260945773317", 224, 4, [2, 6]),
-    (3, "full", False, (4, 2, 2, 2), "0.04751869838786566", 72, 3, [2, 6]),
-    (4, "collapsed", True, (7, 3, 3, 4), "0.27317226911308296", 124, 2,
-     [8, 10]),
-    (4, "collapsed", False, (7, 3, 3, 3), "0.11176478750535397", 150, 3,
-     [8, 10]),
-    (5, "collapsed", True, (11, 3, 3, 5), "0.1286932753189509", 246, 3,
-     [1, 2]),
-    (5, "collapsed", False, (11, 3, 3, 3), "0.10349739442334714", 174, 3,
-     [1, 2]),
-    (6, "collapsed", True, (16, 4, 4, 11), "0.1071130040407016", 624, 3,
-     [55, 5]),
-    (6, "collapsed", False, (16, 4, 4, 4), "0.03991723343753635", 384, 4,
-     [55, 5]),
-    (7, "collapsed", True, (26, 5, 5, 15), "0.06966069004600293", 1056, 3,
-     [99, 1]),
-    (7, "collapsed", False, (26, 5, 5, 5), "0.029439138770590446", 608, 4,
-     [99, 1]),
-    (8, "collapsed", True, (41, 6, 6, 12), "0.06342090659555641", 1110, 3,
-     [34, 182]),
-    (8, "collapsed", False, (41, 6, 6, 7), "0.011029410489888687", 3000, 12,
-     [34, 182]),
+    (3, "collapsed", True, (4, 2, 2, 6), "0.29729260945773306",
+     112, 2, [2, 6], 56, 189),
+    (3, "collapsed", False, (4, 2, 2, 2), "0.04751869838786557",
+     72, 3, [2, 6], 24, 506),
+    (3, "full", True, (4, 2, 2, 6), "0.29729260945773317",
+     112, 2, [2, 6], 56, 189),
+    (3, "full", False, (4, 2, 2, 2), "0.04751869838786566",
+     72, 3, [2, 6], 24, 506),
+    (4, "collapsed", True, (7, 3, 3, 4), "0.27317226911308296",
+     124, 2, [8, 10], 62, 227),
+    (4, "collapsed", False, (7, 3, 3, 3), "0.11176478750535397",
+     150, 3, [8, 10], 50, 448),
+    (5, "collapsed", True, (11, 3, 3, 5), "0.1286932753189509",
+     246, 3, [1, 2], 82, 638),
+    (5, "collapsed", False, (11, 3, 3, 3), "0.10349739442334714",
+     174, 3, [1, 2], 58, 561),
+    (6, "collapsed", True, (16, 4, 4, 11), "0.1071130040407016",
+     624, 3, [55, 5], 208, 1942),
+    (6, "collapsed", False, (16, 4, 4, 4), "0.03991723343753635",
+     384, 4, [55, 5], 96, 2405),
+    (7, "collapsed", True, (26, 5, 5, 15), "0.06966069004600293",
+     1056, 3, [99, 1], 352, 5054),
+    (7, "collapsed", False, (26, 5, 5, 5), "0.029439138770590446",
+     608, 4, [99, 1], 152, 5164),
+    (8, "collapsed", True, (41, 6, 6, 12), "0.06342090659555641",
+     1110, 3, [34, 182], 370, 5835),
+    (8, "collapsed", False, (41, 6, 6, 7), "0.011029410489888687",
+     3000, 12, [34, 182], 250, 22667),
 ]
 
 
-@pytest.mark.parametrize("bits, mode, tune, params, prob, queries, retries, "
-                         "claw", CLAWWALK_PINS)
+@pytest.mark.parametrize("bits, mode, tune, params, prob, sampled, retries, "
+                         "claw, queries, expected", CLAWWALK_PINS)
 def test_sim_clawwalk_outputs_are_pinned(capsys, bits, mode, tune, params,
-                                         prob, queries, retries, claw):
+                                         prob, sampled, retries, claw,
+                                         queries, expected):
     code, out, _ = run_cli(capsys, "sim-clawwalk", "--bits", str(bits),
                            "--mode", mode,
                            "--tune" if tune else "--no-tune")
     assert code == 0
     report = json.loads(out)
-    r, t1, t2, outer = params
-    assert report["params"] == {"r": r, "t1": t1, "t2": t2,
-                                "outer_reps": outer}
+    walk = WalkParams(*params)
+    assert report["params"] == dataclasses.asdict(walk)
     assert repr(report["success_prob"]) == prob
-    assert report["oracle_queries"] == queries
-    assert report["retries"] == retries
-    assert report["sampled_claw"] == report["planted_claw"] == claw
+    assert report["planted_claw"] == claw
+    assert report["oracle_queries"] == queries == ledger_law(walk)
+    assert report["expected_queries"] == expected
+    assert "sampled_claw" not in report and "retries" not in report
+    problem, _ = planted_claw_problem(bits, 0)
+    n = 1 << bits
+    result = claw_walk_sample(problem, 0, mode, walk_params(n, n), tune=tune)
+    assert (result.params, repr(result.success_prob)) == (walk, prob)
+    assert (result.ledger.oracle_queries, result.retries, list(result.claw)) \
+        == (sampled, retries, claw)
+    assert sampled == retries * queries
 
 
 def test_sim_clawwalk_refuses_bits_before_building_tables(capsys,
@@ -575,7 +591,7 @@ def test_sim_clawwalk_refuses_before_the_claw_census(capsys, monkeypatch,
     def no_census(problem):
         raise AssertionError("claw census built before the refusal")
 
-    monkeypatch.setattr("clawbench.walk.find_claws_exhaustive", no_census)
+    monkeypatch.setattr("clawbench.cli.find_claws_exhaustive", no_census)
     code, out, err = run_cli(capsys, "sim-clawwalk", "--bits", "12", *argv)
     assert code == 4
     assert out == ""

@@ -12,8 +12,8 @@ from clawbench.claw import (CapacityError, ClawProblem,
 from clawbench.cli import planted_claw_problem
 from clawbench.walk import (CollapsedWalkSim, FullWalkSim, UniqueClawRequired,
                             WalkParams, _collapsed_step_matrix, _reflect,
-                            _side_operators, choice_cdf, claw_walk_sample,
-                            ledger_law, tune_outer_reps,
+                            _side_operators, claw_walk_sample, ledger_law,
+                            run_walk, tune_outer_reps,
                             walk_expected_queries, walk_params)
 
 
@@ -284,35 +284,6 @@ def test_side_operators_are_built_once_and_read_only():
     assert _side_operators(7, 3) is not _side_operators(7, 4)
 
 
-def test_full_measure_draws_what_rng_choice_draws(monkeypatch):
-    """Seed for seed, a measurement picks the basis state rng.choice picks
-    from the squared amplitudes, and claw_walk_sample's retries share one
-    CDF per simulated state."""
-    claws = [(1, 3), (4, 0)]
-    sim = FullWalkSim(8, walk_params(8, 8), claws)
-    sim.run()
-    probs = (sim.state ** 2).ravel()
-    d = len(sim.basis)
-    for seed in range(200):
-        pick = np.random.default_rng(seed).choice(probs.size,
-                                                  p=probs / probs.sum())
-        s1, s2 = sim.basis[pick // d][0], sim.basis[pick % d][0]
-        want = next(((a, b) for a, b in claws if a in s1 and b in s2),
-                    None)
-        assert sim.measure(np.random.default_rng(seed), claws) == want
-    built = []
-
-    def counting_cdf(weights):
-        built.append(weights.size)
-        return choice_cdf(weights)
-
-    monkeypatch.setattr(walk, "choice_cdf", counting_cdf)
-    problem, planted = planted_claw_problem(3, 0)
-    result = claw_walk_sample(problem, seed=0, mode="full")
-    assert result.claw == planted and result.retries == 4
-    assert len(built) == 1
-
-
 def test_collapsed_step_is_orthogonal():
     step = _collapsed_step_matrix(10, 4)
     assert np.allclose(step @ step.T, np.eye(3), atol=1e-12)
@@ -485,6 +456,57 @@ def test_collapsed_requires_unique_claw(monkeypatch):
     monkeypatch.setattr("clawbench.walk.tune_outer_reps", None)
     with pytest.raises(UniqueClawRequired):
         claw_walk_sample(problem, seed=0, mode="collapsed")
+
+
+def test_claw_walk_sample_refuses_several_claws_in_full_mode():
+    n = 8
+    f_tab = np.arange(n, dtype=np.uint32)
+    g_tab = f_tab.copy()
+    problem = ClawProblem(domain_bits=3, range_bits=4,
+                          f_family=(lambda x: f_tab[x],),
+                          g_family=(lambda x: g_tab[x],))
+    assert len(find_claws_exhaustive(problem)) == n
+    with pytest.raises(UniqueClawRequired, match="found 8"):
+        claw_walk_sample(problem, seed=0, mode="full", tune=False)
+
+
+def test_run_walk_refuses_over_the_step_guard_before_building(monkeypatch):
+    """run_walk applies check_walk first, so an untuned walk over the step
+    guard is refused before any simulator is built."""
+    def no_sim(*args):
+        raise AssertionError("a simulator was built before the refusal")
+
+    monkeypatch.setattr(walk, "CollapsedWalkSim", no_sim)
+    monkeypatch.setattr(walk, "FullWalkSim", no_sim)
+    params = WalkParams(4, 2, 2, 300_000)       # 1.2M steps
+    for mode in ("collapsed", "full"):
+        with pytest.raises(CapacityError, match="walk steps: 1200000 "):
+            run_walk(8, params, [(0, 0)], mode, tune=False)
+    with pytest.raises(ValueError, match="unknown mode"):
+        run_walk(8, walk_params(8, 8), [(0, 0)], "bogus", tune=False)
+
+
+# claw_walk_sample(planted_claw_problem(bits, seed), seed=seed), collapsed
+# and tuned, at the benchmark's planted-walk sizes: (bits, seed, claw,
+# retries, oracle_queries).  Each retry draws one uniform against the
+# success probability.
+SAMPLE_PINS = [
+    (8, 0, (34, 182), 3, 1110), (8, 1, (232, 54), 10, 3700),
+    (8, 2, (225, 119), 8, 2960), (10, 0, (840, 347), 4, 2608),
+    (10, 1, (885, 736), 62, 40424), (10, 2, (143, 964), 65, 42380),
+    (12, 0, (2082, 1630), 12, 17376), (12, 1, (3495, 2068), 62, 89776),
+    (12, 2, (328, 3232), 98, 141904),
+]
+
+
+@pytest.mark.parametrize("bits, seed, claw, retries, queries", SAMPLE_PINS)
+def test_collapsed_sample_draws_are_pinned(bits, seed, claw, retries,
+                                           queries):
+    problem, planted = planted_claw_problem(bits, seed)
+    result = claw_walk_sample(problem, seed=seed)
+    assert planted == claw
+    assert (result.claw, result.retries, result.ledger.oracle_queries) == \
+        (claw, retries, queries)
 
 
 def test_claw_walk_sample_checks_mode_before_the_census(monkeypatch):
