@@ -4,9 +4,11 @@ Exit codes: 0 success, 2 failed verification (a sim-clawwalk census
 other than its planted claw included), 3 input error (a command line that
 does not parse, a malformed pair set and an --out path that cannot be
 opened included), 4 capacity guard refusal before anything is allocated:
---rounds above 4096, walk steps, full-basis walk amplitudes, census bits,
-Grover statevector items or updates.  All runs are reproducible from
-their flags; reports are byte-identical for identical configurations.
+--rounds above 4096, scaling's walk steps, full-basis walk amplitudes,
+census bits, Grover statevector items or updates.  sim-clawwalk runs the
+tuned walk that the attack's walk backends run.  All runs are
+reproducible from their flags; reports are byte-identical for identical
+configurations.
 """
 
 import argparse
@@ -182,8 +184,7 @@ def cmd_sim_clawwalk(args):
     check_exhaustive_bits(args.bits)
     problem, planted = planted_claw_problem(args.bits, args.seed)
     n = problem.n_side
-    sim = run_walk(n, walk_params(n, n, args.multiplier), [planted],
-                   args.mode, args.tune)
+    sim = run_walk(n, walk_params(n, n), [planted], args.mode)
     prob = sim.success_prob()
     _emit(args, {
         "bits": args.bits,
@@ -206,7 +207,7 @@ def cmd_scaling(args):
     runs = []
     for u in range(args.min_exp, args.max_exp + 1):
         n = 1 << u
-        params = walk_params(n, n, args.multiplier)
+        params = walk_params(n, n)
         check_walk_steps(params)
         runs.append((n, params))
     rows = ["N,r,t1,t2,outer_reps,queries,success_prob,mode"]
@@ -306,16 +307,12 @@ def build_parser():
     p.add_argument("--mode", choices=["collapsed", "full"],
                    default="collapsed")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--multiplier", type=float, default=1.0)
-    p.add_argument("--tune", action=argparse.BooleanOptionalAction,
-                   default=True)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_sim_clawwalk)
 
     p = sub.add_parser("scaling", help="query-count scaling sweep (CSV)")
     p.add_argument("--min-exp", type=int, default=6)
     p.add_argument("--max-exp", type=int, default=12)
-    p.add_argument("--multiplier", type=float, default=1.0)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_scaling)
 

@@ -29,7 +29,7 @@ Two exact simulators are provided:
   the t-th power of its step matrix, so a collapsed run logs one norm
   per outer repetition.
 
-Neither simulator measures: run_walk runs one walk, and
+Neither simulator measures: run_walk tunes and runs one walk, and
 walk_expected_queries is its expected cost to a first claw.
 
 All amplitudes stay real throughout (real initial state, real operators),
@@ -68,32 +68,27 @@ def _cube_root_ceil(x):
     return math.ceil(x ** (1 / 3) - 1e-9)
 
 
-def walk_params(m, n, multiplier=1.0):
+def walk_params(m, n):
     """Subset size and repetition counts for two side domains of size m = n.
 
     The two sides of the paper's claw are both 2^w-key domains, so the
     walk runs only in Tani's balanced regime, one subset size per side:
-    r = ceil((mn)^(1/3)) and t1 = t2 = ceil((pi/4) sqrt(r)); the outer
-    count is ceil of multiplier * sqrt(mn / r^2).  Raises ValueError for
-    m != n, for m < 4 (r < N holds exactly from N = 4) or a multiplier
-    that is not positive and finite, CapacityError when a value overflows
-    a float.
+    r = ceil((mn)^(1/3)), t1 = t2 = ceil((pi/4) sqrt(r)) and the base
+    outer count ceil(sqrt(mn / r^2)), which run_walk tunes.  Raises
+    ValueError for m != n or m < 4 (r < N holds exactly from N = 4),
+    CapacityError when a value overflows a float.
     """
     if m != n:
         raise ValueError(f"side domains must have equal size, got {m}, {n}")
     if m < 4:
         raise ValueError("side domains must have at least 4 elements")
-    if not 0 < multiplier < math.inf:
-        raise ValueError("multiplier must be positive and finite, "
-                         f"got {multiplier}")
     try:
         r = _cube_root_ceil(m * n)
         t = math.ceil(math.pi / 4 * math.sqrt(r))
-        outer = math.ceil(multiplier * math.sqrt(m * n / (r * r)))
+        outer = math.ceil(math.sqrt(m * n / (r * r)))
     except OverflowError:
         raise CapacityError(f"walk parameters for N=2^{math.log2(m):.1f} "
-                            f"and multiplier {multiplier} overflow a float"
-                            ) from None
+                            "overflow a float") from None
     return WalkParams(r=r, t1=t, t2=t, outer_reps=outer)
 
 
@@ -386,35 +381,32 @@ def walk_expected_queries(params, success_prob):
     return math.ceil(ledger_law(params) / success_prob)
 
 
-def check_walk(n_side, params, mode, tune):
-    """Refuse before anything is built: an unknown mode, a walk or (with
-    tune) tuning's scan over the step guard, a full basis over its guard."""
+def check_walk(n_side, params, mode):
+    """Refuse before anything is built: an unknown mode, tuning's scan over
+    the step guard (the scan runs at least as many steps as the tuned
+    walk), a full basis over its guard."""
     if mode not in ("collapsed", "full"):
         raise ValueError(f"unknown mode {mode!r}")
-    check_walk_steps(params)
-    if tune:
-        check_walk_steps(_tuning_scan(params))
+    check_walk_steps(_tuning_scan(params))
     if mode == "full":
         check_full_basis(n_side, params.r)
 
 
-def run_walk(n_side, params, claws, mode, tune=True):
+def run_walk(n_side, params, claws, mode):
     """Tune and run the walk once on a known, non-empty claw census, after
     check_walk and collapsed mode's unique-claw check."""
-    check_walk(n_side, params, mode, tune)
+    check_walk(n_side, params, mode)
     if mode == "collapsed" and len(claws) != 1:
         raise UniqueClawRequired(
             f"collapsed mode needs a unique claw, found {len(claws)}")
-    if tune:
-        params = tune_outer_reps(n_side, params)
+    params = tune_outer_reps(n_side, params)
     sim = (CollapsedWalkSim(n_side, params) if mode == "collapsed"
            else FullWalkSim(n_side, params, claws))
     sim.run()
     return sim
 
 
-def claw_walk_sample(problem, seed, mode="collapsed", params=None,
-                     max_retries=400, tune=True):
+def claw_walk_sample(problem, seed, mode="collapsed", max_retries=400):
     """check_walk, then run_walk on the exhaustive scan's claw census,
     which must hold at most one claw, then draw measurements of that one
     state until one finds the claw.  A measured state is marked exactly
@@ -423,15 +415,15 @@ def claw_walk_sample(problem, seed, mode="collapsed", params=None,
     is the sampled pair (None when no claw exists or all max_retries
     draws miss) and whose ledger charges every attempt."""
     n = problem.n_side
-    params = params or walk_params(n, n)
-    check_walk(n, params, mode, tune)
+    params = walk_params(n, n)
+    check_walk(n, params, mode)
     all_claws = find_claws_exhaustive(problem)
     if not all_claws:
         return WalkResult(0.0, None, QueryLedger(), params, 0.0, all_claws=[])
     if len(all_claws) > 1:
         raise UniqueClawRequired(
             f"sampling needs a unique claw, found {len(all_claws)}")
-    sim = run_walk(n, params, all_claws, mode, tune)
+    sim = run_walk(n, params, all_claws, mode)
     p = sim.success_prob()
     rng = np.random.default_rng(seed)
     found, retries = None, 0

@@ -1,8 +1,9 @@
 """Fixed-width word and block helpers.
 
 Words are plain unsigned integers interpreted as bit vectors of a given
-width (3..16 bits).  All helpers also accept numpy integer arrays so the
-hot paths (claw tables, exhaustive key sweeps) can run vectorized.
+width (3..16 bits).  rotl also accepts numpy integer arrays, so the hot
+paths (claw tables, exhaustive key sweeps) can run vectorized; check_word
+and the hex helpers take one word at a time.
 """
 
 import functools
@@ -35,10 +36,6 @@ def check_width(width):
 
 def check_word(value, width):
     check_width(width)
-    if isinstance(value, np.ndarray):
-        if np.any(value > mask(width)):
-            raise ValueError(f"array contains values >= 2^{width}")
-        return
     if not (0 <= value <= mask(width)):
         raise ValueError(f"value {value:#x} does not fit in {width} bits")
 

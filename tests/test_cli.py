@@ -323,60 +323,46 @@ def test_sim_clawwalk_collapsed(capsys):
 
 def test_sim_clawwalk_full_matches_collapsed_success(capsys):
     _, out_c, _ = run_cli(capsys, "sim-clawwalk", "--bits", "3",
-                          "--seed", "5", "--mode", "collapsed", "--no-tune")
+                          "--seed", "5", "--mode", "collapsed")
     _, out_f, _ = run_cli(capsys, "sim-clawwalk", "--bits", "3",
-                          "--seed", "5", "--mode", "full", "--no-tune")
+                          "--seed", "5", "--mode", "full")
     p_c = json.loads(out_c)["success_prob"]
     p_f = json.loads(out_f)["success_prob"]
     assert p_f == pytest.approx(p_c, abs=1e-10)
 
 
-# sim-clawwalk --seed 0: (bits, mode, tune), then the reported params as
+# sim-clawwalk --seed 0: (bits, mode), then the reported params as
 # (r, t1, t2, outer_reps) and repr(success_prob); claw_walk_sample's
 # ledger, retries and claw on the same walk at seed 0; and the reported
 # oracle_queries (one run's ledger, ledger_law(params)) and
-# expected_queries.  The tuned 8-bit walk's 5835 is the claw-stage figure
-# quantum_toy_attack.py prints, the same N = 256 walk.
+# expected_queries.  The 8-bit walk's 5835 is the claw-stage figure
+# quantum_toy_attack.py prints, the same N = 256 walk.  tests/test_walk.py
+# pins the untuned base walk at the same sizes.
 CLAWWALK_PINS = [
-    (3, "collapsed", True, (4, 2, 2, 6), "0.29729260945773306",
+    (3, "collapsed", (4, 2, 2, 6), "0.29729260945773306",
      112, 2, [2, 6], 56, 189),
-    (3, "collapsed", False, (4, 2, 2, 2), "0.04751869838786557",
-     72, 3, [2, 6], 24, 506),
-    (3, "full", True, (4, 2, 2, 6), "0.29729260945773317",
+    (3, "full", (4, 2, 2, 6), "0.29729260945773317",
      112, 2, [2, 6], 56, 189),
-    (3, "full", False, (4, 2, 2, 2), "0.04751869838786566",
-     72, 3, [2, 6], 24, 506),
-    (4, "collapsed", True, (7, 3, 3, 4), "0.27317226911308296",
+    (4, "collapsed", (7, 3, 3, 4), "0.27317226911308296",
      124, 2, [8, 10], 62, 227),
-    (4, "collapsed", False, (7, 3, 3, 3), "0.11176478750535397",
-     150, 3, [8, 10], 50, 448),
-    (5, "collapsed", True, (11, 3, 3, 5), "0.1286932753189509",
+    (5, "collapsed", (11, 3, 3, 5), "0.1286932753189509",
      246, 3, [1, 2], 82, 638),
-    (5, "collapsed", False, (11, 3, 3, 3), "0.10349739442334714",
-     174, 3, [1, 2], 58, 561),
-    (6, "collapsed", True, (16, 4, 4, 11), "0.1071130040407016",
+    (6, "collapsed", (16, 4, 4, 11), "0.1071130040407016",
      624, 3, [55, 5], 208, 1942),
-    (6, "collapsed", False, (16, 4, 4, 4), "0.03991723343753635",
-     384, 4, [55, 5], 96, 2405),
-    (7, "collapsed", True, (26, 5, 5, 15), "0.06966069004600293",
+    (7, "collapsed", (26, 5, 5, 15), "0.06966069004600293",
      1056, 3, [99, 1], 352, 5054),
-    (7, "collapsed", False, (26, 5, 5, 5), "0.029439138770590446",
-     608, 4, [99, 1], 152, 5164),
-    (8, "collapsed", True, (41, 6, 6, 12), "0.06342090659555641",
+    (8, "collapsed", (41, 6, 6, 12), "0.06342090659555641",
      1110, 3, [34, 182], 370, 5835),
-    (8, "collapsed", False, (41, 6, 6, 7), "0.011029410489888687",
-     3000, 12, [34, 182], 250, 22667),
 ]
 
 
-@pytest.mark.parametrize("bits, mode, tune, params, prob, sampled, retries, "
+@pytest.mark.parametrize("bits, mode, params, prob, sampled, retries, "
                          "claw, queries, expected", CLAWWALK_PINS)
-def test_sim_clawwalk_outputs_are_pinned(capsys, bits, mode, tune, params,
-                                         prob, sampled, retries, claw,
-                                         queries, expected):
+def test_sim_clawwalk_outputs_are_pinned(capsys, bits, mode, params, prob,
+                                         sampled, retries, claw, queries,
+                                         expected):
     code, out, _ = run_cli(capsys, "sim-clawwalk", "--bits", str(bits),
-                           "--mode", mode,
-                           "--tune" if tune else "--no-tune")
+                           "--mode", mode)
     assert code == 0
     report = json.loads(out)
     walk = WalkParams(*params)
@@ -387,8 +373,7 @@ def test_sim_clawwalk_outputs_are_pinned(capsys, bits, mode, tune, params,
     assert report["expected_queries"] == expected
     assert "sampled_claw" not in report and "retries" not in report
     problem, _ = planted_claw_problem(bits, 0)
-    n = 1 << bits
-    result = claw_walk_sample(problem, 0, mode, walk_params(n, n), tune=tune)
+    result = claw_walk_sample(problem, 0, mode)
     assert (result.params, repr(result.success_prob)) == (walk, prob)
     assert (result.ledger.oracle_queries, result.retries, list(result.claw)) \
         == (sampled, retries, claw)
@@ -489,15 +474,18 @@ def test_scaling_rejects_an_empty_range(capsys):
     assert "empty sweep" in err
 
 
-@pytest.mark.parametrize("multiplier", ["-1", "0", "nan", "inf"])
-def test_walk_commands_reject_a_multiplier_that_is_not_positive(
-        capsys, multiplier):
-    for argv in (("scaling", "--min-exp", "6", "--max-exp", "6"),
-                 ("sim-clawwalk", "--bits", "4")):
-        code, out, err = run_cli(capsys, *argv, "--multiplier", multiplier)
-        assert code == 3
-        assert out == ""
-        assert "multiplier must be positive" in err
+def test_walk_commands_take_no_outer_count_options(capsys):
+    # every claw walk is the tuned walk: the outer count is not settable
+    for argv, option in ((("sim-clawwalk", "--bits", "3", "--no-tune"),
+                          "--no-tune"),
+                         (("scaling", "--multiplier", "2"),
+                          "--multiplier 2")):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"unrecognized arguments: {option}" in out.err
 
 
 def test_walk_commands_refuse_sides_below_4(capsys):
@@ -541,62 +529,72 @@ def test_scaling_refuses_float_overflow_before_any_run(capsys, monkeypatch):
     assert "overflow" in err
 
 
-def test_sim_clawwalk_refuses_float_overflow(capsys):
-    code, out, err = run_cli(capsys, "sim-clawwalk", "--bits", "4",
-                             "--multiplier", "1e308")
-    assert code == 4
-    assert out == ""
-    assert err.count("\n") == 1
-    assert "overflow" in err
+def force_walk_params(monkeypatch, params):
+    """Start sim-clawwalk's and claw_walk_sample's walks from params in
+    place of walk_params' formula."""
+    def fixed(m, n):
+        return params
+
+    monkeypatch.setattr("clawbench.cli.walk_params", fixed)
+    monkeypatch.setattr("clawbench.walk.walk_params", fixed)
 
 
 def test_sim_clawwalk_refuses_step_count_before_tuning(capsys, monkeypatch):
+    # a walk of 137,142,858 steps: its tuning scan, three times as many
+    # repetitions, is refused
     def refuse(*args, **kwargs):
         raise AssertionError("a walk ran before the refusal")
 
     monkeypatch.setattr("clawbench.walk.tune_outer_reps", refuse)
-    code, out, err = run_cli(capsys, "sim-clawwalk", "--bits", "4",
-                             "--multiplier", "1e7")
+    force_walk_params(monkeypatch, WalkParams(7, 3, 3, 22_857_143))
+    code, out, err = run_cli(capsys, "sim-clawwalk", "--bits", "4")
     assert code == 4
     assert out == ""
-    assert err == ("capacity guard: walk steps: 137142858 exceeds guard "
+    assert err == ("capacity guard: walk steps: 411428574 exceeds guard "
                    "1048576\n")
 
 
 def test_sim_clawwalk_refuses_tuning_scan_over_the_guard(capsys,
                                                          monkeypatch):
-    # the untuned walk passes the guard at 1,042,290 steps, but tuning
-    # would scan 3 x 173,715 repetitions of 6 steps, 3,126,870 steps
+    # the walk passes the guard at 1,042,290 steps, but tuning would scan
+    # 3 x 173,715 repetitions of 6 steps, 3,126,870 steps
     def refuse(*args, **kwargs):
         raise AssertionError("a walk was simulated before the refusal")
 
     monkeypatch.setattr("clawbench.walk.CollapsedWalkSim", refuse)
-    params = walk_params(16, 16, 76000)
+    params = WalkParams(7, 3, 3, 173_715)
     check_walk_steps(params)
-    code, out, err = run_cli(capsys, "sim-clawwalk", "--bits", "4",
-                             "--multiplier", "76000")
+    force_walk_params(monkeypatch, params)
+    code, out, err = run_cli(capsys, "sim-clawwalk", "--bits", "4")
     assert code == 4
     assert out == ""
     assert err == "capacity guard: walk steps: 3126870 exceeds guard 1048576\n"
 
 
-@pytest.mark.parametrize("argv, what", [
-    (("--mode", "full"), "full walk amplitudes: "),
-    (("--multiplier", "1e7"), "walk steps: "),
+@pytest.mark.parametrize("mode, params, what", [
+    ("full", None, "full walk amplitudes: "),
+    ("collapsed", WalkParams(256, 13, 13, 100_000), "walk steps: "),
     # the walk passes at 416,000 steps, tuning's scan is 3x that
-    (("--multiplier", "1000"), "walk steps: 1248000 "),
+    ("collapsed", WalkParams(256, 13, 13, 16_000), "walk steps: 1248000 "),
 ], ids=["full-basis", "steps", "tuning-scan"])
 def test_sim_clawwalk_refuses_before_the_claw_census(capsys, monkeypatch,
-                                                      argv, what):
+                                                      mode, params, what):
     def no_census(problem):
         raise AssertionError("claw census built before the refusal")
 
     monkeypatch.setattr("clawbench.cli.find_claws_exhaustive", no_census)
-    code, out, err = run_cli(capsys, "sim-clawwalk", "--bits", "12", *argv)
+    monkeypatch.setattr("clawbench.walk.find_claws_exhaustive", no_census)
+    if params:
+        force_walk_params(monkeypatch, params)
+    code, out, err = run_cli(capsys, "sim-clawwalk", "--bits", "12",
+                             "--mode", mode)
     assert code == 4
     assert out == ""
     assert err.count("\n") == 1
     assert err.startswith("capacity guard: " + what)
+    problem, _ = planted_claw_problem(12, 0)
+    with pytest.raises(CapacityError, match=what):
+        claw_walk_sample(problem, 0, mode)
 
 
 MASTER = ("--master", "B0AEC7E9C3CEE6C3")

@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -34,6 +35,14 @@ def test_walk_params_refuse_sides_below_4():
         with pytest.raises(ValueError, match="at least 4 elements"):
             walk_params(n, n)
     assert walk_params(4, 4).r == 3
+
+
+def scaled_params(n_side, scale):
+    """walk_params(n_side, n_side) with ceil(scale x the base outer count)
+    repetitions: 1, base and 2 x base for scale 0.5, 1 and 2 at N = 4..10,
+    where the base count is 2."""
+    params = walk_params(n_side, n_side)
+    return replace(params, outer_reps=math.ceil(scale * params.outer_reps))
 
 
 def test_simulators_refuse_a_subset_as_large_as_the_side():
@@ -135,20 +144,19 @@ def axis_reference_walk(n_side, params, claws):
     return state, mark
 
 
-@pytest.mark.parametrize("multiplier", (0.5, 1, 2))
+@pytest.mark.parametrize("scale", (0.5, 1, 2))
 @pytest.mark.parametrize("n_side", range(4, 11))
-def test_full_walk_is_bit_identical_to_the_axis_reference(n_side,
-                                                          multiplier):
+def test_full_walk_is_bit_identical_to_the_axis_reference(n_side, scale):
     """Stepping each side on axis 0, with one transposing copy per side
     switch, leaves every amplitude as the per-axis reference computes it.
     The reference's numpy mean along axis 1 adds a group's entries one
     after another, as the simulator does, only for groups below 8, which
     walk_params gives up to N = 11."""
-    params = walk_params(n_side, n_side, multiplier)
+    params = scaled_params(n_side, scale)
     assert max(n_side - params.r, params.r + 1) < 8
-    rng = np.random.default_rng([n_side, int(2 * multiplier)])
+    rng = np.random.default_rng([n_side, int(2 * scale)])
     claws = [tuple(int(v) for v in rng.integers(0, n_side, size=2))
-             for _ in range(1 + (n_side + int(2 * multiplier)) % 3)]
+             for _ in range(1 + (n_side + int(2 * scale)) % 3)]
     want, mark = axis_reference_walk(n_side, params, claws)
     want_prob = float((want[mark] ** 2).sum())
     for fine in (True, False):
@@ -312,11 +320,11 @@ def test_full_vs_collapsed_agree():
 
 
 @settings(max_examples=40, deadline=None)
-@given(n_side=st.integers(4, 9), multiplier=st.sampled_from((0.5, 1, 2)),
+@given(n_side=st.integers(4, 9), scale=st.sampled_from((0.5, 1, 2)),
        data=st.data())
 def test_full_walk_matches_collapsed_and_fine_is_only_logging(
-        n_side, multiplier, data):
-    params = walk_params(n_side, n_side, multiplier)
+        n_side, scale, data):
+    params = scaled_params(n_side, scale)
     side = st.integers(0, n_side - 1)
     claw = data.draw(st.tuples(side, side))
     full = FullWalkSim(n_side, params, [claw])
@@ -361,13 +369,12 @@ def stepwise_reference(n_side, params):
 
 
 @settings(max_examples=60, deadline=None)
-@example(n_side=1 << 12, multiplier=2, extra_t2=3)
+@example(n_side=1 << 12, scale=2, extra_t2=3)
 @given(n_side=st.integers(4, 1 << 12),
-       multiplier=st.sampled_from((0.5, 1, 2)),
+       scale=st.sampled_from((0.5, 1, 2)),
        extra_t2=st.sampled_from((0, 0, 1, 3)))
-def test_block_walk_matches_stepwise_reference(n_side, multiplier,
-                                               extra_t2):
-    params = walk_params(n_side, n_side, multiplier)
+def test_block_walk_matches_stepwise_reference(n_side, scale, extra_t2):
+    params = scaled_params(n_side, scale)
     params = replace(params, t2=params.t2 + extra_t2)
     # the tuning scan: three times the base count of repetitions
     scan = replace(params, outer_reps=3 * params.outer_reps)
@@ -418,24 +425,52 @@ def test_tuned_outer_reps_beat_baseline_at_n256():
     assert prob == pytest.approx(0.06342090659555644, abs=1e-9)
 
 
+# The untuned walk, walk_params(N, N) as it stands, at N = 2^bits: (bits,
+# mode, (r, t1, t2, outer_reps), repr(success_prob), one run's ledger,
+# walk_expected_queries).  The full walk marks (2, 6), the claw that
+# planted_claw_problem(3, 0) plants.
+BASE_WALK_PINS = [
+    (3, "collapsed", (4, 2, 2, 2), "0.04751869838786557", 24, 506),
+    (3, "full", (4, 2, 2, 2), "0.04751869838786566", 24, 506),
+    (4, "collapsed", (7, 3, 3, 3), "0.11176478750535397", 50, 448),
+    (5, "collapsed", (11, 3, 3, 3), "0.10349739442334714", 58, 561),
+    (6, "collapsed", (16, 4, 4, 4), "0.03991723343753635", 96, 2405),
+    (7, "collapsed", (26, 5, 5, 5), "0.029439138770590446", 152, 5164),
+    (8, "collapsed", (41, 6, 6, 7), "0.011029410489888687", 250, 22667),
+]
+
+
+@pytest.mark.parametrize("bits, mode, params, prob, queries, expected",
+                         BASE_WALK_PINS)
+def test_base_walk_is_pinned(bits, mode, params, prob, queries, expected):
+    n = 1 << bits
+    base = WalkParams(*params)
+    assert walk_params(n, n) == base
+    sim = (CollapsedWalkSim(n, base) if mode == "collapsed"
+           else FullWalkSim(n, base, [(2, 6)]))
+    assert repr(sim.run()) == prob
+    assert sim.ledger.oracle_queries == queries == ledger_law(base)
+    assert walk_expected_queries(base, sim.success_prob()) == expected
+
+
 def test_tuning_from_one_run_equals_per_count_resimulation():
     for u in range(3, 13):
         n = 1 << u
-        for multiplier in (0.5, 1, 2):
-            params = walk_params(n, n, multiplier)
+        for scale in (0.5, 1, 2):
+            params = scaled_params(n, scale)
             # reference: a fresh simulation for every candidate count
             probs = [CollapsedWalkSim(n, WalkParams(
                 params.r, params.t1, params.t2, outer)).run()
                 for outer in range(1, 3 * params.outer_reps + 1)]
             want = probs.index(max(probs)) + 1
             assert tune_outer_reps(n, params).outer_reps == want, \
-                (n, multiplier)
+                (n, scale)
 
 
 def test_claw_walk_sample_modes_agree():
     problem, planted = planted_claw_problem(3, seed=2)
-    rc = claw_walk_sample(problem, seed=2, mode="collapsed", tune=False)
-    rf = claw_walk_sample(problem, seed=2, mode="full", tune=False)
+    rc = claw_walk_sample(problem, seed=2, mode="collapsed")
+    rf = claw_walk_sample(problem, seed=2, mode="full")
     assert rc.claw == rf.claw == planted
     assert rf.success_prob == pytest.approx(rc.success_prob, abs=1e-10)
     for result in (rc, rf):
@@ -451,7 +486,7 @@ def test_collapsed_requires_unique_claw(monkeypatch):
                           f_family=(lambda x: f_tab[x],),
                           g_family=(lambda x: g_tab[x],))
     with pytest.raises(UniqueClawRequired):
-        claw_walk_sample(problem, seed=0, mode="collapsed", tune=False)
+        claw_walk_sample(problem, seed=0, mode="collapsed")
     # the refusal comes before any tuning work
     monkeypatch.setattr("clawbench.walk.tune_outer_reps", None)
     with pytest.raises(UniqueClawRequired):
@@ -467,23 +502,24 @@ def test_claw_walk_sample_refuses_several_claws_in_full_mode():
                           g_family=(lambda x: g_tab[x],))
     assert len(find_claws_exhaustive(problem)) == n
     with pytest.raises(UniqueClawRequired, match="found 8"):
-        claw_walk_sample(problem, seed=0, mode="full", tune=False)
+        claw_walk_sample(problem, seed=0, mode="full")
 
 
 def test_run_walk_refuses_over_the_step_guard_before_building(monkeypatch):
-    """run_walk applies check_walk first, so an untuned walk over the step
-    guard is refused before any simulator is built."""
+    """run_walk applies check_walk first, so a walk over the step guard is
+    refused, with its tuning scan's step count, before any simulator is
+    built."""
     def no_sim(*args):
         raise AssertionError("a simulator was built before the refusal")
 
     monkeypatch.setattr(walk, "CollapsedWalkSim", no_sim)
     monkeypatch.setattr(walk, "FullWalkSim", no_sim)
-    params = WalkParams(4, 2, 2, 300_000)       # 1.2M steps
+    params = WalkParams(4, 2, 2, 300_000)       # 1.2M steps, scan 3.6M
     for mode in ("collapsed", "full"):
-        with pytest.raises(CapacityError, match="walk steps: 1200000 "):
-            run_walk(8, params, [(0, 0)], mode, tune=False)
+        with pytest.raises(CapacityError, match="walk steps: 3600000 "):
+            run_walk(8, params, [(0, 0)], mode)
     with pytest.raises(ValueError, match="unknown mode"):
-        run_walk(8, walk_params(8, 8), [(0, 0)], "bogus", tune=False)
+        run_walk(8, walk_params(8, 8), [(0, 0)], "bogus")
 
 
 # claw_walk_sample(planted_claw_problem(bits, seed), seed=seed), collapsed
@@ -556,10 +592,10 @@ def test_walk_expected_queries_is_the_geometric_mean_cost():
 
 @pytest.mark.parametrize("mode", ["collapsed", "full"])
 def test_claw_walk_sample_reports_exhausted_retries(mode):
-    # success probability 0.0475 per measurement; seed 1 misses three times
+    # success probability 0.2973 per measurement; seed 4 misses three
+    # times (its first draws are 0.943, 0.511, 0.976)
     problem, _ = planted_claw_problem(3, seed=1)
-    result = claw_walk_sample(problem, seed=1, mode=mode, tune=False,
-                              max_retries=3)
+    result = claw_walk_sample(problem, seed=4, mode=mode, max_retries=3)
     assert result.claw is None
     assert result.retries == 3
     assert result.ledger.oracle_queries == 3 * ledger_law(result.params)

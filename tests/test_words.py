@@ -54,6 +54,8 @@ def test_check_word_bounds():
         check_word(-1, 16)
     with pytest.raises(ValueError):
         check_word(np.array([3, 16], dtype=np.uint32), 4)
+    with pytest.raises(ValueError):
+        check_word(np.array([-1, 3]), 8)
 
 
 def test_hex_round_trip():
